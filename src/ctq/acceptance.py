@@ -15,7 +15,6 @@ import numpy as np
 
 from . import bounds, closedform, measures, monogamy, qlinalg, states
 
-GRID_STEP = 1e-4  # acceptance always runs at the default resolution
 SEED = 20240917
 
 
@@ -35,9 +34,7 @@ def _result(name, passed, detail) -> CriterionResult:
 
 def c01_isotropic_d2_q3():
     F = np.linspace(0.5 + 1e-3, 1.0, 50)
-    err = max(
-        abs(closedform.ctq_isotropic(f, 3, 2, step=GRID_STEP) - (2 * f - 1) ** 2) for f in F
-    )
+    err = max(abs(closedform.ctq_isotropic(f, 3, 2) - (2 * f - 1) ** 2) for f in F)
     return _result(
         "isotropic-exact-d2-q3",
         err <= 1e-10,
@@ -48,14 +45,11 @@ def c01_isotropic_d2_q3():
 def c02_isotropic_d2_q4():
     F = np.linspace(0.5 + 1e-3, 1.0, 50)
     exact = lambda f: (7 + 4 * f * (1 - f)) / 7 * (2 * f - 1) ** 2
-    err = max(abs(closedform.ctq_isotropic(f, 4, 2, step=GRID_STEP) - exact(f)) for f in F)
+    err = max(abs(closedform.ctq_isotropic(f, 4, 2) - exact(f)) for f in F)
     Fb = np.linspace(0.0, 1.0, 401)
-    gap = min(
-        closedform.ctq_isotropic(f, 4, 2, step=GRID_STEP) - max(0.0, (2 * f - 1)) ** 2
-        for f in Fb
-    )
-    eq_half = abs(closedform.ctq_isotropic(0.5, 4, 2, step=GRID_STEP) - 0.0)
-    eq_one = abs(closedform.ctq_isotropic(1.0, 4, 2, step=GRID_STEP) - 1.0)
+    gap = min(closedform.ctq_isotropic(f, 4, 2) - max(0.0, (2 * f - 1)) ** 2 for f in Fb)
+    eq_half = abs(closedform.ctq_isotropic(0.5, 4, 2) - 0.0)
+    eq_one = abs(closedform.ctq_isotropic(1.0, 4, 2) - 1.0)
     ok = err <= 1e-10 and gap >= -1e-9 and eq_half <= 1e-9 and eq_one <= 1e-9
     return _result(
         "isotropic-exact-d2-q4",
@@ -66,8 +60,8 @@ def c02_isotropic_d2_q4():
 
 
 def c03_envelope_junctions():
-    p33 = closedform.isotropic_chord_params(3, 3, step=GRID_STEP)
-    p43 = closedform.isotropic_chord_params(4, 3, step=GRID_STEP)
+    p33 = closedform.isotropic_chord_params(3, 3)
+    p43 = closedform.isotropic_chord_params(4, 3)
     chord95 = p43.slope * 0.95 + p43.intercept
     ref95 = 2.0658 * 0.95 - 1.06566
     ok = (
@@ -89,7 +83,7 @@ def c04_isotropic_d3_bound():
     worst = np.inf
     for q in (3, 4):
         for f in np.linspace(1 / 3 + 1e-3, 1.0, 300):
-            gap = closedform.ctq_isotropic(f, q, 3, step=GRID_STEP) - (3 * f - 1) ** 2 / 4
+            gap = closedform.ctq_isotropic(f, q, 3) - (3 * f - 1) ** 2 / 4
             worst = min(worst, gap)
     return _result(
         "isotropic-d3-bound",

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 
-import numpy as np
-
 from . import qlinalg
 from .exceptions import (
     ExponentOrderViolated,
@@ -136,14 +134,3 @@ def corollary1_bound(ct_h: float, q: float, h: float, d: int) -> float:
         )
     return normalization_mu(d, q) / normalization_mu(d, h) * ct_h
 
-
-def pure_state_bound_check(lam: np.ndarray, q: float, d: int) -> tuple[float, float]:
-    """Helper for validity tests: (bound, normalized value) from a spectrum."""
-    lam = np.asarray(lam, dtype=float)
-    N = float(np.sum(np.sqrt(lam)) ** 2)
-    if d >= 3 or q >= 4.0 - 1e-12:
-        bound = (N - 1.0) ** 2 / (d - 1.0) ** 2
-    else:
-        bound = (N - 1.0) ** 2 / (2.0 * (1.0 - 2.0 ** (1.0 - s_threshold())))
-    value = (d - np.sum(lam**q) - np.sum((1.0 - lam) ** q)) / normalization_mu(d, q)
-    return bound, float(value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, bounds, closedform, measures, monogamy, states
-from .exceptions import CtqError, ExponentOutsideTheoremRange, UnsupportedState
+from .exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims, UnsupportedState
 
 
 @dataclass
@@ -131,7 +131,7 @@ def cmd_measure(cfg: RunConfig) -> int:
         else:
             try:
                 rep = bounds.lower_bound_thm2(state, q)
-            except (ExponentOutsideTheoremRange,) as exc:
+            except (ExponentOutsideTheoremRange, UnequalLocalDims) as exc:
                 report.update({"lower_bound_only": True, "error": str(exc)})
                 _emit(report, "json", p.get("out"))
                 return 2
@@ -202,46 +202,38 @@ def _isotropic_bound_column(F: float, q: float, d: int) -> float | None:
 
 def cmd_curve_isotropic(cfg: RunConfig) -> int:
     p = cfg.params
-    d, q, step = p["d"], p["q"], p["step"]
-    grid = _frange(p["from"], p["to"], step)
-    rows = [["F", "raw", "envelope", "lower_bound"]]
+    d, q = p["d"], p["q"]
+    grid = _frange(p["from"], p["to"], p["step"])
     scale = measures.normalization_mu(d, q) if p["raw_units"] else 1.0
-    for F in grid:
-        raw = closedform.zeta_isotropic(F, q, d, normalized=not p["raw_units"])
-        env = closedform.ctq_isotropic(F, q, d) * scale
+    raw = closedform.zeta_isotropic(grid, q, d, normalized=not p["raw_units"])
+    env = closedform.ctq_isotropic(grid, q, d) * scale
+    rows = [["F", "raw", "envelope", "lower_bound"]]
+    for F, r, e in zip(grid, raw, env):
         b = _isotropic_bound_column(F, q, d)
         if b is not None:
             b *= scale
-        rows.append([f"{F:.10g}", f"{raw:.12g}", f"{env:.12g}", "" if b is None else f"{b:.12g}"])
+        rows.append([f"{F:.10g}", f"{r:.12g}", f"{e:.12g}", "" if b is None else f"{b:.12g}"])
     _emit_rows(rows, p)
     return 0
 
 
 def cmd_curve_werner(cfg: RunConfig) -> int:
+    """The envelope column is the measure at each w, whatever the range."""
     p = cfg.params
-    q, step = p["q"], p["step"]
-    grid = _frange(p["from"], p["to"], step)
-    raw_vals = np.array([closedform.zeta_werner(w, q, normalized=False) for w in grid])
-    norm_vals = raw_vals / measures.normalization_mu(2, q)
-    env = closedform.convex_envelope(grid, norm_vals if not p["raw_units"] else raw_vals)
+    q = p["q"]
+    grid = _frange(p["from"], p["to"], p["step"])
     scale = measures.normalization_mu(2, q) if p["raw_units"] else 1.0
+    raw = closedform.zeta_werner(grid, q, normalized=not p["raw_units"])
+    env = closedform.ctq_werner(grid, q) * scale
     rows = [["w", "raw", "envelope", "lower_bound", "eof"]]
-    for i, w in enumerate(grid):
+    for w, r, e in zip(grid, raw, env):
         rho = states.werner(w, 2)
         try:
             bval = f"{bounds.lower_bound_thm2(rho, q).lower_bound * scale:.12g}"
         except CtqError:
             bval = ""  # exponent below the d=2 threshold: no bound available
-        shown_raw = raw_vals[i] if p["raw_units"] else norm_vals[i]
-        rows.append(
-            [
-                f"{w:.10g}",
-                f"{shown_raw:.12g}",
-                f"{env.values[i]:.12g}",
-                bval,
-                f"{closedform.eof_werner(w):.12g}",
-            ]
-        )
+        eof = closedform.eof_werner(w)
+        rows.append([f"{w:.10g}", f"{r:.12g}", f"{e:.12g}", bval, f"{eof:.12g}"])
     _emit_rows(rows, p)
     return 0
 
@@ -310,19 +302,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_q=True):
-        if with_q:
-            sp.add_argument("--q", type=float, default=2.0, help="measure exponent (q >= 2)")
+    def add_common(sp, rows=False):
+        sp.add_argument("--q", type=float, default=2.0, help="measure exponent (q >= 2)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+        if rows:
+            sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     sp = sub.add_parser("measure", help="evaluate measures of a state file")
     sp.add_argument("state")
     add_common(sp)
     sp.add_argument("--alpha", type=float, default=0.5, help="dual-family exponent in [0, 1/2]")
-    sp.add_argument("--normalized", dest="raw_units", action="store_false", default=False)
-    sp.add_argument("--raw", dest="raw_units", action="store_true")
 
     sp = sub.add_parser("bound", help="trace-norm lower bound for a state file")
     sp.add_argument("state")
@@ -330,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for family in ("isotropic", "werner"):
         sp = sub.add_parser(family, help=f"emit the {family} curve as CSV")
-        add_common(sp)
+        add_common(sp, rows=True)
         if family == "isotropic":
             sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--from", dest="lo", type=float, default=0.0)
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--raw", dest="raw_units", action="store_true")
 
     sp = sub.add_parser("chain", help="chain-state measure triple and residual sweep")
-    add_common(sp)
+    add_common(sp, rows=True)
     sp.add_argument("--from", dest="lo", type=float, default=0.0)
     sp.add_argument("--to", dest="hi", type=float, default=float(np.pi / 2))
     sp.add_argument("--step", type=float, default=0.01)

@@ -18,9 +18,9 @@ Two curve constructions live here and differ on purpose:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -34,24 +34,37 @@ from .exceptions import (
     InfeasibleConstraint,
     ParameterOutOfRange,
 )
-from .measures import h_q, normalization_mu
+from .measures import normalization_mu
 
-DEFAULT_GRID_STEP = 1e-4
 BREAKPOINT_TOL = 1e-9
+# resolution of the sampled curves whose hulls give the isotropic and Werner
+# envelopes; values on stretches where the envelope follows the curve are exact
+ENVELOPE_STEP = 1e-4
+_GRID = np.linspace(0.0, 1.0, int(round(1.0 / ENVELOPE_STEP)) + 1)
+_GRID.setflags(write=False)
 
 
-def default_grid_step() -> float:
-    """Envelope grid resolution; CTQ_GRID_STEP overrides within [1e-6, 1e-1]."""
-    raw = os.environ.get("CTQ_GRID_STEP")
-    if raw is None:
-        return DEFAULT_GRID_STEP
-    try:
-        step = float(raw)
-    except ValueError as exc:
-        raise ParameterOutOfRange(f"CTQ_GRID_STEP={raw!r} is not a number") from exc
-    if not 1e-6 <= step <= 1e-1:
-        raise ParameterOutOfRange(f"CTQ_GRID_STEP={step} outside [1e-6, 1e-1]")
-    return step
+def _check_exponent(q: float) -> None:
+    if q < 2.0 - 1e-12:
+        raise BadExponent(f"need q >= 2, got {q}")
+
+
+def _unit_interval(x, error: type, what: str) -> np.ndarray:
+    """``x`` as a float array, checked to lie in [0, 1] up to 1e-12."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim == 0:  # a Python comparison costs a tenth of two ufuncs and a reduction
+        inside = -1e-12 <= float(a) <= 1.0 + 1e-12
+    else:
+        inside = ((a >= -1e-12) & (a <= 1.0 + 1e-12)).all()
+    if not inside:
+        raise error(f"{what} {x} outside [0, 1]")
+    return a
+
+
+def _vanish_at_or_below(val, x: np.ndarray, edge: float):
+    """max(val, 0) where x > edge and exactly 0 elsewhere; a float for scalar x."""
+    val = np.maximum(val, 0.0) * (x > edge)
+    return float(val) if x.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -60,6 +73,14 @@ class ChiSigma:
 
     chi: float
     sigma: float
+
+
+def _chi_sigma(F, d: int):
+    """chi and sigma for fidelities F already clipped to [1/d, 1]."""
+    root_f, rest, root_d = np.sqrt(F), 1.0 - F, sqrt(d)
+    chi = (root_f + np.sqrt((d - 1.0) * rest)) / root_d
+    sigma = np.maximum((root_f - np.sqrt(rest / (d - 1.0))) / root_d, 0.0)
+    return chi, sigma
 
 
 def chi_sigma(F: float, d: int) -> ChiSigma:
@@ -75,49 +96,50 @@ def chi_sigma(F: float, d: int) -> ChiSigma:
         raise FidelityOutOfRange(f"fidelity {F} > 1")
     if F < 1.0 / d - 1e-12:
         raise FidelityBelowSeparableBoundary(f"fidelity {F} below 1/d = {1.0/d:.6f}")
-    F = min(max(F, 1.0 / d), 1.0)
-    chi = (np.sqrt(F) + np.sqrt((d - 1.0) * (1.0 - F))) / np.sqrt(d)
-    sigma = (np.sqrt(F) - np.sqrt((1.0 - F) / (d - 1.0))) / np.sqrt(d)
-    return ChiSigma(float(chi), float(max(sigma, 0.0)))
+    chi, sigma = _chi_sigma(min(max(F, 1.0 / d), 1.0), d)
+    return ChiSigma(float(chi), float(sigma))
 
 
-def zeta_isotropic(F: float, q: float, d: int, normalized: bool = True) -> float:
+def zeta_isotropic(F, q: float, d: int, normalized: bool = True):
     """Minimal pure-state measure over states with isotropic fidelity F.
 
     Zero for F <= 1/d; otherwise
     d - (chi**2q + (1-chi**2)**q) - (d-1)(sigma**2q + (1-sigma**2)**q).
+    F may be a scalar (float result) or an array (array result).
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-    if not -1e-12 <= F <= 1.0 + 1e-12:
-        raise FidelityOutOfRange(f"fidelity {F} outside [0, 1]")
-    if F <= 1.0 / d:
-        return 0.0
-    p = chi_sigma(F, d)
-    c2, s2 = p.chi**2, p.sigma**2
-    val = d - (c2**q + (1.0 - c2) ** q) - (d - 1.0) * (s2**q + (1.0 - s2) ** q)
+    _check_exponent(q)
+    if d < 2:
+        raise BadDimension("d must be >= 2")
+    F = _unit_interval(F, FidelityOutOfRange, "fidelity")
+    chi, sigma = _chi_sigma(np.minimum(np.maximum(F, 1.0 / d), 1.0), d)
+    c2, s2 = chi * chi, sigma * sigma
+    # np.power, not **: a scalar F is a numpy scalar by now, whose ** calls the C
+    # library's pow, which can differ in the last bit from the pow an array gets;
+    # chi**2 can round above 1 next to F = 1/d
+    chi_part = np.power(c2, q) + np.power(np.maximum(1.0 - c2, 0.0), q)
+    sigma_part = np.power(s2, q) + np.power(1.0 - s2, q)
+    val = d - chi_part - (d - 1.0) * sigma_part
     if normalized:
-        val /= normalization_mu(d, q)
-    return max(0.0, float(val))
+        val = val / normalization_mu(d, q)
+    return _vanish_at_or_below(val, F, 1.0 / d)
 
 
-def zeta_werner(w: float, q: float, normalized: bool = True) -> float:
+def zeta_werner(w, q: float, normalized: bool = True):
     """Minimal pure-state measure over states with exchange weight w.
 
     Zero for w <= 1/2; otherwise 2 (1 - ((1+G)/2)**q - ((1-G)/2)**q) with
     G = 2 sqrt(w (1-w)).  In normalized units this equals h_q(2w - 1).
+    w may be a scalar (float result) or an array (array result).
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-    if not -1e-12 <= w <= 1.0 + 1e-12:
-        raise ParameterOutOfRange(f"mixing parameter {w} outside [0, 1]")
-    if w <= 0.5:
-        return 0.0
-    G = 2.0 * np.sqrt(w * (1.0 - w))
-    val = 2.0 * (1.0 - ((1.0 + G) / 2.0) ** q - ((1.0 - G) / 2.0) ** q)
+    _check_exponent(q)
+    w = _unit_interval(w, ParameterOutOfRange, "mixing parameter")
+    wc = np.minimum(np.maximum(w, 0.5), 1.0)
+    G = 2.0 * np.sqrt(wc * (1.0 - wc))
+    # np.power, not **, as in zeta_isotropic
+    val = 2.0 * (1.0 - np.power((1.0 + G) / 2.0, q) - np.power((1.0 - G) / 2.0, q))
     if normalized:
-        val /= normalization_mu(2, q)
-    return max(0.0, float(val))
+        val = val / normalization_mu(2, q)
+    return _vanish_at_or_below(val, w, 0.5)
 
 
 @dataclass(frozen=True)
@@ -187,85 +209,70 @@ def convex_envelope(grid, values) -> ConvexCurve:
     return ConvexCurve(g, env, tuple(breakpoints))
 
 
-def _grid_for_step(step: float) -> np.ndarray:
-    n = int(round(1.0 / step))
-    return np.linspace(0.0, 1.0, n + 1)
+def _hull(values: np.ndarray):
+    """Vertices (x, value) of the lower hull of a curve sampled on the envelope
+    grid, and per hull segment whether it joins neighbouring grid points, where
+    the envelope follows the curve itself."""
+    idx = np.asarray(_lower_hull_indices(_GRID, values))
+    return _GRID[idx], values[idx], np.diff(idx) == 1
+
+
+def _envelope(x: np.ndarray, zero_to: float, hull, curve):
+    """Envelope at x: zero up to ``zero_to``, the exact ``curve`` where the
+    hull follows it, and the hull chord elsewhere."""
+    if x.ndim == 0 and x <= zero_to:
+        return 0.0
+    hx, hy, follows = hull
+    s = np.minimum(np.searchsorted(hx, x, side="right") - 1, hx.size - 2)
+    if x.ndim == 0:
+        if follows[s]:
+            return curve(x)
+        t = (x - hx[s]) / (hx[s + 1] - hx[s])
+        return float((1.0 - t) * hy[s] + t * hy[s + 1])
+    t = (x - hx[s]) / (hx[s + 1] - hx[s])
+    out = (1.0 - t) * hy[s] + t * hy[s + 1]
+    zero = x <= zero_to
+    exact = follows[s] & ~zero
+    out[exact] = curve(x[exact])
+    out[zero] = 0.0
+    return out
 
 
 @lru_cache(maxsize=32)
-def _iso_hull(q: float, d: int, step: float):
-    """Hull vertices (F, value, index) of the normalized isotropic curve."""
-    g = _grid_for_step(step)
-    v = _zeta_iso_grid(g, q, d)
-    hull = _lower_hull_indices(g, v)
-    return g[hull], v[hull], np.asarray(hull)
+def _iso_hull(q: float, d: int):
+    return _hull(zeta_isotropic(_GRID, q, d))
 
 
-def _zeta_iso_grid(F: np.ndarray, q: float, d: int) -> np.ndarray:
-    Fc = np.clip(F, 1.0 / d, 1.0)
-    chi = (np.sqrt(Fc) + np.sqrt((d - 1.0) * (1.0 - Fc))) / np.sqrt(d)
-    sig = np.maximum((np.sqrt(Fc) - np.sqrt((1.0 - Fc) / (d - 1.0))) / np.sqrt(d), 0.0)
-    c2, s2 = chi**2, sig**2
-    val = d - (c2**q + (1.0 - c2) ** q) - (d - 1.0) * (s2**q + (1.0 - s2) ** q)
-    val = np.where(F <= 1.0 / d, 0.0, val / normalization_mu(d, q))
-    return np.maximum(val, 0.0)
+@lru_cache(maxsize=32)
+def _werner_hull(q: float):
+    return _hull(zeta_werner(_GRID, q))
 
 
-def ctq_isotropic(F: float, q: float, d: int, step: float | None = None) -> float:
+def ctq_isotropic(F, q: float, d: int):
     """Measure of the isotropic state: convex envelope of the fidelity curve.
 
     Inside stretches where the envelope coincides with the raw curve the
     exact closed form is returned; on chord stretches the value is the
     linear interpolant between the exact values at the chord endpoints.
+    F may be a scalar (float result) or an array (array result).
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-    if not -1e-12 <= F <= 1.0 + 1e-12:
-        raise FidelityOutOfRange(f"fidelity {F} outside [0, 1]")
-    F = min(max(F, 0.0), 1.0)
-    if F <= 1.0 / d:
-        return 0.0
-    if step is None:
-        step = default_grid_step()
-    hx, hy, hidx = _iso_hull(float(q), int(d), float(step))
-    s = int(np.searchsorted(hx, F, side="right") - 1)
-    s = min(max(s, 0), hx.size - 2)
-    if hidx[s + 1] - hidx[s] == 1:  # envelope follows the raw curve here
-        return zeta_isotropic(F, q, d, normalized=True)
-    t = (F - hx[s]) / (hx[s + 1] - hx[s])
-    return float((1.0 - t) * hy[s] + t * hy[s + 1])
+    _check_exponent(q)
+    F = np.minimum(_unit_interval(F, FidelityOutOfRange, "fidelity"), 1.0)
+    hull = _iso_hull(float(q), int(d))
+    return _envelope(F, 1.0 / d, hull, lambda x: zeta_isotropic(x, q, d))
 
 
-@lru_cache(maxsize=32)
-def _werner_hull(q: float, step: float):
-    g = _grid_for_step(step)
-    v = np.array([zeta_werner(w, q, normalized=True) for w in g])
-    hull = _lower_hull_indices(g, v)
-    return g[hull], v[hull], np.asarray(hull)
-
-
-def ctq_werner(w: float, q: float, step: float | None = None) -> float:
+def ctq_werner(w, q: float):
     """Measure of the d = 2 exchange-invariant state: envelope of the w-curve.
 
     For 2 <= q <= 4 the raw curve h_q(2w - 1) is already convex, so the
-    envelope coincides with it; larger q falls back to the numerical hull.
+    envelope coincides with it; larger q can bend it concave near w = 1,
+    where the envelope is a chord ending there.
+    w may be a scalar (float result) or an array (array result).
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-    if not -1e-12 <= w <= 1.0 + 1e-12:
-        raise ParameterOutOfRange(f"mixing parameter {w} outside [0, 1]")
-    w = min(max(w, 0.0), 1.0)
-    if w <= 0.5:
-        return 0.0
-    if step is None:
-        step = default_grid_step()
-    hx, hy, hidx = _werner_hull(float(q), float(step))
-    s = int(np.searchsorted(hx, w, side="right") - 1)
-    s = min(max(s, 0), hx.size - 2)
-    if hidx[s + 1] - hidx[s] == 1:
-        return zeta_werner(w, q, normalized=True)
-    t = (w - hx[s]) / (hx[s + 1] - hx[s])
-    return float((1.0 - t) * hy[s] + t * hy[s + 1])
+    _check_exponent(q)
+    w = np.minimum(_unit_interval(w, ParameterOutOfRange, "mixing parameter"), 1.0)
+    return _envelope(w, 0.5, _werner_hull(float(q)), lambda x: zeta_werner(x, q))
 
 
 @dataclass(frozen=True)
@@ -277,19 +284,16 @@ class CaseChord:
     intercept: float
 
 
-def isotropic_chord_params(q: float, d: int, step: float | None = None) -> CaseChord | None:
+def isotropic_chord_params(q: float, d: int) -> CaseChord | None:
     """Junction and chord of the case-form curve, or ``None`` if none is needed.
 
-    The junction is the first grid fidelity at which the raw curve's second
-    difference turns negative (curvature loss); the chord joins the curve
-    there to the endpoint (1, 1).
+    The junction is the first envelope-grid fidelity at which the raw curve's
+    second difference turns negative (curvature loss); the chord joins the
+    curve there to the endpoint (1, 1).
     """
-    if step is None:
-        step = default_grid_step()
-    g = _grid_for_step(step)
-    v = _zeta_iso_grid(g, q, d)
+    v = zeta_isotropic(_GRID, q, d)
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    interior = g[1:-1]
+    interior = _GRID[1:-1]
     eligible = interior > 1.0 / d + 0.01
     neg = np.where(eligible & (d2 < 0.0))[0]
     if neg.size == 0:
@@ -298,8 +302,7 @@ def isotropic_chord_params(q: float, d: int, step: float | None = None) -> CaseC
     gaps = np.where(np.diff(neg) > 1)[0]
     i0 = int(neg[gaps[-1] + 1]) if gaps.size else int(neg[0])
     junction = float(interior[i0])
-    zj = zeta_isotropic(junction, q, d, normalized=True)
-    slope = (1.0 - zj) / (1.0 - junction)
+    slope = (1.0 - v[i0 + 1]) / (1.0 - junction)
     return CaseChord(junction=junction, slope=float(slope), intercept=float(1.0 - slope))
 
 

@@ -64,12 +64,8 @@ class WrongDimensions(CtqError):
     """Operation defined only for a specific subsystem signature."""
 
 
-class ExponentOutOfTheoremRange(CtqError):
-    """Exponent outside the range for which the closed form is valid."""
-
-
 class ExponentOutsideTheoremRange(CtqError):
-    """Exponent outside the range covered by the trace-norm bound."""
+    """Exponent outside the range in which a closed form or bound holds."""
 
 
 class UnequalLocalDims(CtqError):

@@ -24,7 +24,7 @@ from .exceptions import (
     BadDimension,
     BadExponent,
     DomainError,
-    ExponentOutOfTheoremRange,
+    ExponentOutsideTheoremRange,
     NotADistribution,
     WrongDimensions,
 )
@@ -218,7 +218,7 @@ def ctq_two_qubit_mixed(rho: DensityMatrix, q: float) -> MeasureValue:
     convex roof collapses onto h_q of the spin-flip concurrence.
     """
     if not 2.0 - 1e-12 <= q <= 4.0 + 1e-12:
-        raise ExponentOutOfTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
+        raise ExponentOutsideTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
     c = wootters_concurrence_2qubit(rho)
     return MeasureValue(h_q(c, q), MeasureParams(Family.Q, q, normalized=True), 2)
 
@@ -230,5 +230,5 @@ def ctq_from_concurrence(c: float, q: float) -> float:
     the caller provides it and this applies the same h_q map.
     """
     if not 2.0 - 1e-12 <= q <= 4.0 + 1e-12:
-        raise ExponentOutOfTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
+        raise ExponentOutsideTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
     return h_q(c, q)

@@ -15,6 +15,18 @@ def spectrum_of(psi):
     return states.schmidt_spectrum(psi).values
 
 
+def pure_state_bound_check(lam, q, d):
+    """(Thm-2 bound, normalized value) of a pure state from its Schmidt spectrum."""
+    lam = np.asarray(lam, dtype=float)
+    N = float(np.sum(np.sqrt(lam)) ** 2)
+    if d >= 3 or q >= 4.0 - 1e-12:
+        bound = (N - 1.0) ** 2 / (d - 1.0) ** 2
+    else:
+        bound = (N - 1.0) ** 2 / (2.0 * (1.0 - 2.0 ** (1.0 - bounds.s_threshold())))
+    value = (d - np.sum(lam**q) - np.sum((1.0 - lam) ** q)) / measures.normalization_mu(d, q)
+    return bound, float(value)
+
+
 class TestThreshold:
     def test_value_in_band(self):
         s = bounds.s_threshold()
@@ -83,7 +95,7 @@ class TestLowerBoundThm2:
             for q in qs:
                 for _ in range(1000):
                     lam = spectrum_of(haar_pure((d, d), rng))
-                    b, v = bounds.pure_state_bound_check(lam, q, d)
+                    b, v = pure_state_bound_check(lam, q, d)
                     assert v - b >= -1e-9
 
     def test_bound_matches_report_on_pure_inputs(self, rng):

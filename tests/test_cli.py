@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,23 @@ class TestMeasure:
         r1, r2 = read_json(out1), read_json(out2)
         assert abs(r1["ctq_normalized"] - r2["ctq_normalized"]) < 1e-12
         assert abs(r1["concurrence"] - r2["concurrence"]) < 1e-12
+
+    def test_unequal_local_dims_degrades_to_report(self, tmp_path):
+        f = write_state(tmp_path, states.random_density((2, 3), 3, 1), "mixed23.json")
+        out = tmp_path / "report.json"
+        assert run(["measure", f, "--q", "3", "--out", str(out)]) == 2
+        rep = read_json(out)
+        assert rep["lower_bound_only"] is True
+        assert "equal local dimensions" in rep["error"]
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "1"], ["--format", "json"], ["--raw"], ["--normalized"]]
+    )
+    def test_removed_flags_rejected(self, tmp_path, flag):
+        f = write_state(tmp_path, states.max_entangled(2), "bell.json")
+        with pytest.raises(SystemExit) as exc:
+            run(["measure", f, *flag])
+        assert exc.value.code == 2
 
     def test_deterministic_output(self, tmp_path):
         f = write_state(tmp_path, states.isotropic(0.8, 2), "iso2.json")
@@ -164,6 +182,25 @@ class TestCurves:
                 assert env == pytest.approx(raw, abs=1e-9)  # convex case: no chord
             if row[3]:
                 assert env - float(row[3]) >= -1e-9  # bound stays in matching units
+
+    @pytest.mark.parametrize("q, lo, hi", [(8, 0.5, 0.8), (12, 0.6, 0.95)])
+    def test_werner_subrange_envelope_is_the_measure(self, tmp_path, q, lo, hi):
+        out = tmp_path / "w.csv"
+        assert run(["werner", "--q", str(q), "--from", str(lo), "--to", str(hi),
+                    "--step", "0.01", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        for row in rows:
+            want = closedform.ctq_werner(float(row[0]), q)
+            assert float(row[2]) == pytest.approx(want, abs=1e-12)
+
+    def test_non_integer_exponent_runs_clean(self, tmp_path):
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["isotropic", "--d", "3", "--q", "2.5", "--step", "1e-3",
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows if float(r[0]) <= 1 / 3)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "c.json"

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ctq import closedform, measures
 from ctq.exceptions import (
+    BadDimension,
     BadExponent,
     FidelityBelowSeparableBoundary,
+    FidelityOutOfRange,
     GridTooCoarse,
     InfeasibleConstraint,
     ParameterOutOfRange,
@@ -79,6 +83,11 @@ class TestZetaIsotropic:
     def test_rejects_bad_exponent(self):
         with pytest.raises(BadExponent):
             zeta(0.8, 1.5, 2)
+
+    def test_rejects_bad_dimension(self):
+        for curve in (zeta, closedform.ctq_isotropic):
+            with pytest.raises(BadDimension):
+                curve(0.5, 3, 1)
 
 
 class TestZetaWerner:
@@ -294,21 +303,59 @@ class TestCtqWerner:
         assert closedform.ctq_werner(0.4, 3) == 0.0
 
 
-class TestGridStepEnv:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("CTQ_GRID_STEP", "1e-3")
-        assert closedform.default_grid_step() == pytest.approx(1e-3)
+class TestArrayInput:
+    """Every curve takes a scalar, giving a float, or an array, giving an array
+    equal element-wise to the scalar calls."""
 
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("CTQ_GRID_STEP", "5")
-        with pytest.raises(ParameterOutOfRange):
-            closedform.default_grid_step()
-        monkeypatch.setenv("CTQ_GRID_STEP", "abc")
-        with pytest.raises(ParameterOutOfRange):
-            closedform.default_grid_step()
+    X = np.linspace(0.0, 1.0, 1001)  # zero stretch, raw stretches, chords, endpoint
 
-    def test_refinement_stability(self):
-        for F in (0.6, 0.9, 0.95):
-            coarse = closedform.ctq_isotropic(F, 3, 3, step=1e-2)
-            fine = closedform.ctq_isotropic(F, 3, 3, step=1e-4)
-            assert abs(coarse - fine) < 5e-3
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            lambda x: closedform.zeta_isotropic(x, 2.5, 3),
+            lambda x: closedform.zeta_isotropic(x, 8, 5, normalized=False),
+            lambda x: closedform.zeta_werner(x, 2.7),
+            lambda x: closedform.zeta_werner(x, 12, normalized=False),
+            lambda x: closedform.ctq_isotropic(x, 3, 3),
+            lambda x: closedform.ctq_isotropic(x, 8, 6),
+            lambda x: closedform.ctq_werner(x, 3),
+            lambda x: closedform.ctq_werner(x, 12),
+        ],
+        ids=[
+            "zeta_isotropic-q2.5-d3", "zeta_isotropic-q8-d5-raw", "zeta_werner-q2.7",
+            "zeta_werner-q12-raw", "ctq_isotropic-q3-d3", "ctq_isotropic-q8-d6",
+            "ctq_werner-q3", "ctq_werner-q12",
+        ],
+    )
+    def test_array_equals_scalar_calls(self, curve):
+        scalars = [curve(float(x)) for x in self.X]
+        assert all(type(v) is float for v in scalars)
+        values = curve(self.X)
+        assert isinstance(values, np.ndarray) and values.shape == self.X.shape
+        np.testing.assert_array_equal(values, scalars)
+
+    def test_range_checked_element_wise(self):
+        with pytest.raises(FidelityOutOfRange):
+            closedform.zeta_isotropic(np.array([0.5, 1.1]), 3, 2)
+        with pytest.raises(ParameterOutOfRange):
+            closedform.ctq_werner(np.array([-0.1, 0.7]), 3)
+
+
+class TestEnvelopeAccuracy:
+    @pytest.mark.parametrize("q, d", [(3, 3), (4, 3), (8, 5)])
+    def test_matches_fine_sampled_hull(self, q, d):
+        # the fixed envelope grid agrees with the hull of a 10x finer sampling
+        F = np.linspace(0.0, 1.0, 100_001)
+        fine = closedform.convex_envelope(F, closedform.zeta_isotropic(F, q, d))
+        assert np.max(np.abs(closedform.ctq_isotropic(F, q, d) - fine.values)) <= 1e-6
+
+    def test_no_runtime_warning_at_non_integer_exponent(self):
+        # chi**2 rounds above 1 at F <= 1/d; a fractional power of the
+        # negative 1 - chi**2 must not be taken
+        F = np.linspace(0.0, 1.0, 1001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for q in (2.2, 2.5, 3.7):
+                for d in (2, 3, 4):
+                    assert np.all(np.isfinite(closedform.zeta_isotropic(F, q, d)))
+                    assert np.all(np.isfinite(closedform.ctq_isotropic(F, q, d)))

@@ -6,7 +6,7 @@ from ctq.exceptions import (
     BadDimension,
     BadExponent,
     DomainError,
-    ExponentOutOfTheoremRange,
+    ExponentOutsideTheoremRange,
     NotADistribution,
     WrongDimensions,
 )
@@ -226,9 +226,9 @@ class TestCtqTwoQubitMixed:
 
     def test_exponent_range(self):
         rho = states.werner(0.8, 2)
-        with pytest.raises(ExponentOutOfTheoremRange):
+        with pytest.raises(ExponentOutsideTheoremRange):
             measures.ctq_two_qubit_mixed(rho, 5.0)
-        with pytest.raises(ExponentOutOfTheoremRange):
+        with pytest.raises(ExponentOutsideTheoremRange):
             measures.ctq_from_concurrence(0.5, 4.5)
 
     def test_from_concurrence_matches(self):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import log
 
+import numpy as np
+
 from . import qlinalg
 from .exceptions import (
     ExponentOrderViolated,
@@ -81,15 +83,26 @@ def s_threshold() -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_regime(q: float, d: int) -> None:
+def thm2_bound(N, q: float, d: int):
+    """Trace-norm lower bound on the normalized measure from N = max(ppt, realign).
+
+    N may be a scalar (float result) or an array (array result); the regime
+    is checked once for all of them.
+    """
     if d >= 3:
         if q < 2.0 - 1e-12:
             raise ExponentOutsideTheoremRange(f"need q >= 2 for d >= 3, got q={q}")
+    elif q < s_threshold() - 1e-12:
+        raise ExponentOutsideTheoremRange(
+            f"for d = 2 the bound requires q >= s = {s_threshold():.5f}, got q={q}"
+        )
+    N = np.asarray(N, dtype=float)
+    if d >= 3 or q >= 4.0 - 1e-12:
+        bound = (N - 1.0) ** 2 / (d - 1.0) ** 2
     else:
-        if q < s_threshold() - 1e-12:
-            raise ExponentOutsideTheoremRange(
-                f"for d = 2 the bound requires q >= s = {s_threshold():.5f}, got q={q}"
-            )
+        bound = (N - 1.0) ** 2 / (2.0 * (1.0 - 2.0 ** (1.0 - s_threshold())))
+    bound = np.maximum(bound, 0.0)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def lower_bound_thm2(rho: DensityMatrix, q: float) -> BoundReport:
@@ -97,19 +110,12 @@ def lower_bound_thm2(rho: DensityMatrix, q: float) -> BoundReport:
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise UnequalLocalDims(f"bound requires equal local dimensions, got {rho.dims}")
     d = rho.dims[0]
-    _check_regime(q, d)
     ppt = qlinalg.trace_norm(qlinalg.partial_transpose(rho.mat, rho.dims))
     rea = qlinalg.trace_norm(qlinalg.realign(rho.mat, rho.dims))
-    N = max(ppt, rea)
-    if d >= 3 or q >= 4.0 - 1e-12:
-        bound = (N - 1.0) ** 2 / (d - 1.0) ** 2
-    else:
-        s = s_threshold()
-        bound = (N - 1.0) ** 2 / (2.0 * (1.0 - 2.0 ** (1.0 - s)))
     return BoundReport(
         ppt_norm=ppt,
         realign_norm=rea,
-        lower_bound=max(0.0, bound),
+        lower_bound=thm2_bound(max(ppt, rea), q, d),
         q=float(q),
         d=d,
         entangled_by_ppt=ppt > 1.0 + ENTANGLEMENT_WITNESS_TOL,

@@ -192,48 +192,45 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _isotropic_bound_column(F: float, q: float, d: int) -> float | None:
+def _bound_column(N: np.ndarray, q: float, d: int, scale: float) -> list[str]:
+    """Printed Thm-2 bounds for the trace norms N; empty where no bound applies."""
     try:
-        rho = states.isotropic(F, d)
-        return bounds.lower_bound_thm2(rho, q).lower_bound
-    except CtqError:
-        return None
+        return [f"{b:.12g}" for b in bounds.thm2_bound(N, q, d) * scale]
+    except ExponentOutsideTheoremRange:  # exponent below the d = 2 threshold
+        return [""] * N.size
 
 
 def cmd_curve_isotropic(cfg: RunConfig) -> int:
+    """Both trace norms of the isotropic state are max(1, d F)."""
     p = cfg.params
     d, q = p["d"], p["q"]
     grid = _frange(p["from"], p["to"], p["step"])
     scale = measures.normalization_mu(d, q) if p["raw_units"] else 1.0
     raw = closedform.zeta_isotropic(grid, q, d, normalized=not p["raw_units"])
     env = closedform.ctq_isotropic(grid, q, d) * scale
+    bound = _bound_column(np.maximum(1.0, d * grid), q, d, scale)
     rows = [["F", "raw", "envelope", "lower_bound"]]
-    for F, r, e in zip(grid, raw, env):
-        b = _isotropic_bound_column(F, q, d)
-        if b is not None:
-            b *= scale
-        rows.append([f"{F:.10g}", f"{r:.12g}", f"{e:.12g}", "" if b is None else f"{b:.12g}"])
+    for F, r, e, b in zip(grid, raw, env, bound):
+        rows.append([f"{F:.10g}", f"{r:.12g}", f"{e:.12g}", b])
     _emit_rows(rows, p)
     return 0
 
 
 def cmd_curve_werner(cfg: RunConfig) -> int:
-    """The envelope column is the measure at each w, whatever the range."""
+    """The envelope column is the measure at each w, whatever the range.  The
+    d = 2 Werner state is locally equivalent to the isotropic state with F = w,
+    so both its trace norms are max(1, 2 w)."""
     p = cfg.params
     q = p["q"]
     grid = _frange(p["from"], p["to"], p["step"])
     scale = measures.normalization_mu(2, q) if p["raw_units"] else 1.0
     raw = closedform.zeta_werner(grid, q, normalized=not p["raw_units"])
     env = closedform.ctq_werner(grid, q) * scale
+    bound = _bound_column(np.maximum(1.0, 2.0 * grid), q, 2, scale)
+    eof = closedform.eof_werner(grid)
     rows = [["w", "raw", "envelope", "lower_bound", "eof"]]
-    for w, r, e in zip(grid, raw, env):
-        rho = states.werner(w, 2)
-        try:
-            bval = f"{bounds.lower_bound_thm2(rho, q).lower_bound * scale:.12g}"
-        except CtqError:
-            bval = ""  # exponent below the d=2 threshold: no bound available
-        eof = closedform.eof_werner(w)
-        rows.append([f"{w:.10g}", f"{r:.12g}", f"{e:.12g}", bval, f"{eof:.12g}"])
+    for w, r, e, b, f in zip(grid, raw, env, bound, eof):
+        rows.append([f"{w:.10g}", f"{r:.12g}", f"{e:.12g}", b, f"{f:.12g}"])
     _emit_rows(rows, p)
     return 0
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qlinalg
 from .exceptions import BadExponent, NotAllQubits, NotNormalized
 from .measures import h_q, normalization_mu, wootters_concurrence_2qubit
 from .states import MultipartiteState
@@ -44,15 +43,13 @@ def monogamy_check(psi: MultipartiteState, q: float, gamma: float = 1.0) -> Mono
     if q <= 1.0:
         raise BadExponent(f"need q > 1, got {q}")
     k = len(psi.dims)
-    rho_full = psi.density()
-    rho_a = qlinalg.partial_trace(rho_full, psi.dims, [0])
+    rho_a = psi.marginal([0])
     purity = float(np.trace(rho_a @ rho_a).real)
     c_cut = np.sqrt(max(0.0, 2.0 * (1.0 - purity)))
     lhs = h_q(min(c_cut, 1.0), q)
     pairwise = []
     for i in range(1, k):
-        rho_pair = qlinalg.partial_trace(rho_full, psi.dims, [0, i])
-        pairwise.append(h_q(wootters_concurrence_2qubit(rho_pair), q))
+        pairwise.append(h_q(wootters_concurrence_2qubit(psi.marginal([0, i])), q))
     residual = lhs**gamma - sum(p**gamma for p in pairwise)
     guaranteed = 2.0 - 1e-12 <= q <= 3.0 + 1e-12 and abs(gamma - 1.0) <= 1e-12
     return MonogamyReport(

@@ -17,6 +17,7 @@ import numpy as np
 from . import qlinalg
 from .exceptions import (
     DimensionMismatch,
+    EmptyKeepSet,
     FidelityOutOfRange,
     NotNormalized,
     ParameterOutOfRange,
@@ -90,7 +91,17 @@ class MultipartiteState:
         return PureState((self.dims[0], rest), self.amps.copy())
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
-        return qlinalg.partial_trace(self.density(), self.dims, keep)
+        """Reduced density of the subsystems in ``keep``, taken in ascending
+        order: M M^dagger, M the amplitudes as a (kept, traced-out) matrix."""
+        keep = sorted(set(int(k) for k in keep))
+        if not keep:
+            raise EmptyKeepSet("keep set must contain at least one subsystem")
+        if keep[0] < 0 or keep[-1] >= len(self.dims):
+            raise DimensionMismatch(f"keep indices {keep} out of range for dims {self.dims}")
+        rest = [i for i in range(len(self.dims)) if i not in keep]
+        M = np.transpose(self.amps.reshape(self.dims), keep + rest)
+        M = M.reshape(int(np.prod([self.dims[i] for i in keep])), -1)
+        return M @ M.conj().T
 
 
 @dataclass(frozen=True)
@@ -182,40 +193,25 @@ def isotropic(F: float, d: int) -> DensityMatrix:
     return DensityMatrix((d, d), rho)
 
 
-def _sym_anti_bases(d: int):
-    ket = np.eye(d)
-    sym = [np.kron(ket[i], ket[i]) for i in range(d)]
-    plus, minus = [], []
-    for l in range(d):
-        for k in range(l + 1, d):
-            plus.append((np.kron(ket[l], ket[k]) + np.kron(ket[k], ket[l])) / np.sqrt(2))
-            minus.append((np.kron(ket[l], ket[k]) - np.kron(ket[k], ket[l])) / np.sqrt(2))
-    return sym, plus, minus
+def _swap(d: int) -> np.ndarray:
+    """Swap operator S |i j> = |j i> on C^d x C^d."""
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def antisymmetric_projector(d: int) -> np.ndarray:
-    """Projector onto the antisymmetric subspace of C^d x C^d."""
-    _, _, minus = _sym_anti_bases(d)
-    P = np.zeros((d * d, d * d))
-    for v in minus:
-        P += np.outer(v, v)
-    return P
+    """Projector (I - S) / 2 onto the antisymmetric subspace of C^d x C^d."""
+    return (np.eye(d * d) - _swap(d)) / 2.0
 
 
 def werner(w: float, d: int) -> DensityMatrix:
-    """Exchange-invariant state with antisymmetric-subspace weight ``w``."""
+    """Exchange-invariant state with antisymmetric-subspace weight ``w``:
+    (1 - w) (I + S) / (d (d + 1)) + w (I - S) / (d (d - 1))."""
     if not 0.0 <= w <= 1.0:
         raise ParameterOutOfRange(f"mixing parameter {w} outside [0, 1]")
     if d < 2:
         raise DimensionMismatch("d must be >= 2")
-    sym, plus, minus = _sym_anti_bases(d)
-    rho = np.zeros((d * d, d * d))
-    c_sym = 2.0 * (1.0 - w) / (d * (d + 1.0))
-    c_anti = 2.0 * w / (d * (d - 1.0))
-    for v in sym + plus:
-        rho += c_sym * np.outer(v, v)
-    for v in minus:
-        rho += c_anti * np.outer(v, v)
+    I, S = np.eye(d * d), _swap(d)
+    rho = (1.0 - w) * (I + S) / (d * (d + 1.0)) + w * (I - S) / (d * (d - 1.0))
     return DensityMatrix((d, d), rho)
 
 

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ctq import cli, closedform, states
+from ctq import bounds, cli, closedform, states
+from ctq.exceptions import ExponentOutsideTheoremRange
 
 from conftest import haar_pure
 
@@ -201,6 +202,46 @@ class TestCurves:
                         "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows if float(r[0]) <= 1 / 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [3, 3.5, 5])  # on both sides of s ~ 3.34
+    def test_isotropic_bound_column_is_the_state_bound(self, tmp_path, d, q):
+        # the closed-form column, N = max(1, d F), against two SVD trace norms
+        out = tmp_path / "c.csv"
+        assert run(["isotropic", "--d", str(d), "--q", str(q), "--step", "0.01",
+                    "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        for row in rows:
+            rho = states.isotropic(float(row[0]), d)
+            if d == 2 and q < bounds.s_threshold():
+                assert row[3] == ""
+                with pytest.raises(ExponentOutsideTheoremRange):
+                    bounds.lower_bound_thm2(rho, q)
+            else:
+                want = bounds.lower_bound_thm2(rho, q).lower_bound
+                assert float(row[3]) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [3, 3.5, 5])
+    def test_werner_bound_column_is_the_state_bound(self, tmp_path, q):
+        # the d = 2 Werner state is locally the isotropic state with F = w
+        out = tmp_path / "w.csv"
+        assert run(["werner", "--q", str(q), "--step", "0.01", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        for row in rows:
+            rho = states.werner(float(row[0]), 2)
+            if q < bounds.s_threshold():
+                assert row[3] == ""
+                with pytest.raises(ExponentOutsideTheoremRange):
+                    bounds.lower_bound_thm2(rho, q)
+            else:
+                want = bounds.lower_bound_thm2(rho, q).lower_bound
+                assert float(row[3]) == pytest.approx(want, abs=1e-12)
+
+    def test_separable_cells_print_zero(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["isotropic", "--d", "3", "--q", "3", "--step", "1e-3", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert all(r[3] == "0" for r in rows if float(r[0]) <= 1 / 3)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,18 @@ NU_STAR = np.sqrt(np.array([2, 0, 1, 2, 2]) / 7.0)
 
 
 class TestMonogamyCheck:
+    def test_twelve_qubits_without_the_full_density(self):
+        # the 4096 x 4096 density alone would take 256 MB
+        psi = haar_pure((2,) * 12, np.random.default_rng(12))
+        tracemalloc.start()
+        try:
+            rep = monogamy.monogamy_check(psi, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert len(rep.pairwise) == 11 and rep.residual >= -1e-9
+
     def test_ghz(self):
         for q in (2, 2.5, 3):
             rep = monogamy.monogamy_check(ghz3(), q)

@@ -6,6 +6,7 @@ import pytest
 from ctq import qlinalg, states
 from ctq.exceptions import (
     DimensionMismatch,
+    EmptyKeepSet,
     FidelityOutOfRange,
     NotNormalized,
     ParameterOutOfRange,
@@ -84,6 +85,28 @@ def test_werner_construction():
         states.werner(-0.1, 2)
 
 
+def _werner_from_basis_vectors(w, d):
+    """(1 - w) P_sym / dim_sym + w P_anti / dim_anti from explicit basis vectors."""
+    ket = np.eye(d)
+    sym = [np.kron(ket[i], ket[i]) for i in range(d)]
+    anti = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            sym.append((np.kron(ket[i], ket[j]) + np.kron(ket[j], ket[i])) / np.sqrt(2))
+            anti.append((np.kron(ket[i], ket[j]) - np.kron(ket[j], ket[i])) / np.sqrt(2))
+    p_sym = sum(np.outer(v, v) for v in sym)
+    p_anti = sum(np.outer(v, v) for v in anti)
+    return (1 - w) * p_sym / len(sym) + w * p_anti / len(anti), p_anti
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_werner_matches_basis_vector_sum(d):
+    for w in (0.0, 0.3, 0.5, 0.77, 1.0):
+        rho, p_anti = _werner_from_basis_vectors(w, d)
+        np.testing.assert_allclose(states.werner(w, d).mat, rho, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(states.antisymmetric_projector(d), p_anti, rtol=0, atol=1e-15)
+
+
 def test_werner_separability_boundary():
     rho = states.werner(0.5, 2)
     assert qlinalg.trace_norm(qlinalg.partial_transpose(rho.mat, (2, 2))) == pytest.approx(
@@ -102,6 +125,29 @@ def test_chain_state():
         # the marginal of the last qubit is maximally mixed for every angle
         rho_c = states.chain_state(theta).marginal([2])
         assert np.allclose(rho_c, np.eye(2) / 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_marginal_matches_partial_trace_of_density(k, rng):
+    psi = haar_pure((2,) * k, rng)
+    rho = psi.density()
+    for keep in ([0], [k - 1], [0, 1], [0, k - 1], [1, k - 2], [2, 0], list(range(0, k, 2))):
+        np.testing.assert_allclose(
+            psi.marginal(keep), qlinalg.partial_trace(rho, psi.dims, keep), rtol=0, atol=1e-14
+        )
+
+
+def test_marginal_of_mixed_dimensions(rng):
+    psi = haar_pure((4, 2, 3), rng)
+    for keep in ([0], [1], [2], [0, 2], [1, 2]):
+        np.testing.assert_allclose(
+            psi.marginal(keep), qlinalg.partial_trace(psi.density(), psi.dims, keep),
+            rtol=0, atol=1e-14,
+        )
+    with pytest.raises(EmptyKeepSet):
+        psi.marginal([])
+    with pytest.raises(DimensionMismatch):
+        psi.marginal([3])
 
 
 def test_gen_schmidt_3qubit():

@@ -9,6 +9,7 @@ a stack trace.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,13 +294,8 @@ def _core_criteria():
 
 def c13_mutation_smoke():
     """A perturbed normalization constant must make the exact checks fail."""
-    measures._MU_SCALE = 1.0 + 1e-3
-    _clear_curve_caches()
-    try:
+    with _perturbed_mu(1e-3):
         perturbed = [c01_isotropic_d2_q3(), c05_werner_closed_form()]
-    finally:
-        measures._MU_SCALE = 1.0
-        _clear_curve_caches()
     caught = [r.name for r in perturbed if not r.passed]
     return _result(
         "mutation-smoke",
@@ -308,19 +304,29 @@ def c13_mutation_smoke():
     )
 
 
-def _clear_curve_caches():
+@contextmanager
+def _perturbed_mu(x: float):
+    """Scale the normalization constant by (1 + x) in every module that calls
+    it, with the envelope caches cleared on entry and on exit."""
+    saved = [(mod, mod.normalization_mu) for mod in (measures, closedform, bounds, monogamy)]
+    for mod, mu in saved:
+        mod.normalization_mu = lambda d, q, mu=mu: mu(d, q) * (1.0 + x)
     closedform._iso_hull.cache_clear()
     closedform._werner_hull.cache_clear()
+    try:
+        yield
+    finally:
+        for mod, mu in saved:
+            mod.normalization_mu = mu
+        closedform._iso_hull.cache_clear()
+        closedform._werner_hull.cache_clear()
 
 
 def run_acceptance(mu_perturbation: float = 0.0, echo=None, only=None) -> list[CriterionResult]:
     """Run the criteria (optionally a named subset), honouring a tampered constant."""
     criteria = _core_criteria()
     results: list[CriterionResult] = []
-    old_scale = measures._MU_SCALE
-    measures._MU_SCALE = 1.0 + mu_perturbation
-    _clear_curve_caches()
-    try:
+    with _perturbed_mu(mu_perturbation):
         for name, crit in criteria.items():
             if only is not None and name not in only:
                 continue
@@ -328,9 +334,6 @@ def run_acceptance(mu_perturbation: float = 0.0, echo=None, only=None) -> list[C
             results.append(res)
             if echo:
                 echo(res.line())
-    finally:
-        measures._MU_SCALE = old_scale
-        _clear_curve_caches()
     if mu_perturbation == 0.0 and (only is None or "mutation-smoke" in only):
         res = c13_mutation_smoke()
         results.append(res)

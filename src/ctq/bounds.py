@@ -21,12 +21,7 @@ from math import log
 import numpy as np
 
 from . import qlinalg
-from .exceptions import (
-    ExponentOrderViolated,
-    ExponentOutsideTheoremRange,
-    RootNotBracketed,
-    UnequalLocalDims,
-)
+from .exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims, check_range
 from .measures import normalization_mu
 from .states import DensityMatrix
 
@@ -55,8 +50,10 @@ def stationary_second_derivative(q: float, d: int) -> float:
     q.  For d = 2 the sign changes at q = s ~ 3.3396; for d >= 3 it is
     nonnegative for all q >= 2.
     """
-    if q <= 1.0 or d < 2:
-        raise ExponentOutsideTheoremRange(f"need q > 1 and d >= 2, got q={q}, d={d}")
+    message = f"need q > 1 and d >= 2, got q={q}, d={d}"
+    if d < 2:
+        raise ExponentOutsideTheoremRange(message)
+    check_range(q, message, 1.0, open_lo=True, error=ExponentOutsideTheoremRange)
     x = 1.0 / d
     K = d**q - (d - 1.0) ** q - 1.0
     gpp = q * (q - 1.0) * x ** (q - 2.0) * log(x) + (2.0 * q - 1.0) * x ** (q - 2.0)
@@ -73,7 +70,7 @@ def s_threshold() -> float:
     lo, hi = _S_BRACKET
     flo, fhi = stationary_second_derivative(lo, 2), stationary_second_derivative(hi, 2)
     if flo * fhi > 0:
-        raise RootNotBracketed(f"no sign change on [{lo}, {hi}]")
+        raise CtqError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if stationary_second_derivative(mid, 2) * flo > 0:
@@ -90,12 +87,10 @@ def thm2_bound(N, q: float, d: int):
     is checked once for all of them.
     """
     if d >= 3:
-        if q < 2.0 - 1e-12:
-            raise ExponentOutsideTheoremRange(f"need q >= 2 for d >= 3, got q={q}")
-    elif q < s_threshold() - 1e-12:
-        raise ExponentOutsideTheoremRange(
-            f"for d = 2 the bound requires q >= s = {s_threshold():.5f}, got q={q}"
-        )
+        check_range(q, "need q >= 2 for d >= 3, got q={}", 2.0, error=ExponentOutsideTheoremRange)
+    else:
+        check_range(q, f"for d = 2 the bound requires q >= s = {s_threshold():.5f}, got q={{}}",
+                    s_threshold(), error=ExponentOutsideTheoremRange)
     N = np.asarray(N, dtype=float)
     if d >= 3 or q >= 4.0 - 1e-12:
         bound = (N - 1.0) ** 2 / (d - 1.0) ** 2
@@ -126,17 +121,19 @@ def lower_bound_thm2(rho: DensityMatrix, q: float) -> BoundReport:
 def corollary1_bound(ct_h: float, q: float, h: float, d: int) -> float:
     """Exponent-monotonicity lower bound mu(d, q) / mu(d, h) * ct_h (raw units).
 
-    Requires q >= h, with h >= s for d = 2 and h >= 2 for d >= 3 (the regime
-    in which the normalized measure is nondecreasing in the exponent).
+    For d = 2 it requires q >= h >= s, the regime in which the normalized
+    measure is nondecreasing in the exponent.  For d >= 3 that monotonicity
+    fails (spectra with a zero entry decrease with q), so only q = h, with
+    h >= 2, is accepted, where the bound is ct_h itself; q > h raises
+    :class:`ExponentOutsideTheoremRange`.
     """
-    if q < h - 1e-12:
-        raise ExponentOrderViolated(f"need q >= h, got q={q} < h={h}")
+    check_range(q, f"need q >= h, got q={{}} < h={h}", h)
     if d >= 3:
-        if h < 2.0 - 1e-12:
-            raise ExponentOrderViolated(f"need h >= 2 for d >= 3, got h={h}")
-    elif h < s_threshold() - 1e-12:
-        raise ExponentOrderViolated(
-            f"for d = 2 the bound requires h >= s = {s_threshold():.5f}, got h={h}"
-        )
+        check_range(h, "need h >= 2 for d >= 3, got h={}", 2.0)
+        check_range(q, f"for d >= 3 the bound is shown false for q > h, got q={{}} > h={h}",
+                    hi=h, error=ExponentOutsideTheoremRange)
+    else:
+        check_range(h, f"for d = 2 the bound requires h >= s = {s_threshold():.5f}, got h={{}}",
+                    s_threshold())
     return normalization_mu(d, q) / normalization_mu(d, h) * ct_h
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, bounds, closedform, measures, monogamy, states
-from .exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims, UnsupportedState
+from .exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims, check_range
 
 
 @dataclass
@@ -78,7 +78,7 @@ def cmd_measure(cfg: RunConfig) -> int:
     alpha = p["alpha"]
     report: dict = {"file": p["state"], "q": q, "alpha": alpha}
     if isinstance(state, states.MultipartiteState):
-        raise UnsupportedState(
+        raise CtqError(
             "measure handles bipartite states; use the monogamy command for multipartite input"
         )
     if isinstance(state, states.PureState):
@@ -238,14 +238,13 @@ def cmd_curve_werner(cfg: RunConfig) -> int:
 def cmd_chain(cfg: RunConfig) -> int:
     p = cfg.params
     grid = _frange(p["from"], p["to"], p["step"])
+    triple = monogamy.chain_ctq(grid, p["q"])
+    measure = triple if p["which"] == "ctq" else monogamy.chain_concurrence(grid)
+    tau = monogamy.chain_residual(measure, p["gamma"])
+    gamma = f"{p['gamma']:.10g}"
     rows = [["theta", "gamma", "ctq_a_bc", "ctq_ab", "ctq_ac", "tau"]]
-    for theta in grid:
-        a_bc, ab, ac = monogamy.chain_ctq(theta, p["q"])
-        tau = monogamy.residual_tau(theta, p["q"], p["gamma"], p["which"])
-        rows.append(
-            [f"{theta:.10g}", f"{p['gamma']:.10g}"]
-            + [f"{v:.12g}" for v in (a_bc, ab, ac, tau)]
-        )
+    for theta, a_bc, ab, ac, t in zip(grid, *triple, tau):
+        rows.append([f"{theta:.10g}", gamma] + [f"{v:.12g}" for v in (a_bc, ab, ac, t)])
     _emit_rows(rows, p)
     return 0
 
@@ -254,7 +253,7 @@ def cmd_monogamy(cfg: RunConfig) -> int:
     p = cfg.params
     state = states.load_state(p["state"])
     if not isinstance(state, states.MultipartiteState):
-        raise UnsupportedState("monogamy requires a state with at least three parties")
+        raise CtqError("monogamy requires a state with at least three parties")
     rep = monogamy.monogamy_check(state, p["q"], p["gamma"])
     _emit(
         {
@@ -354,8 +353,12 @@ def _config_from_args(args) -> RunConfig:
         params["from"] = params.pop("lo")
         params["to"] = params.pop("hi")
     step = params.get("step")
-    if step is not None and not 1e-6 <= step <= 1e-1:
-        raise CtqError(f"grid step {step} outside [1e-6, 1e-1]")
+    if step is not None:
+        check_range(step, "grid step {} outside [1e-6, 1e-1]", 1e-6, 1e-1, slack=0.0)
+    if "from" in params:
+        lo = params["from"]
+        check_range(lo, "--from must be finite, got {}")
+        check_range(params["to"], f"need a finite --to >= --from = {lo}, got {{}}", lo, slack=0.0)
     return RunConfig(command=command, params=params)
 
 

@@ -24,16 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exceptions import (
-    BadDimension,
-    BadExponent,
-    DimensionMismatch,
-    FidelityBelowSeparableBoundary,
-    FidelityOutOfRange,
-    GridTooCoarse,
-    InfeasibleConstraint,
-    ParameterOutOfRange,
-)
+from .exceptions import CtqError, check_range
 from .measures import normalization_mu
 
 BREAKPOINT_TOL = 1e-9
@@ -42,23 +33,9 @@ BREAKPOINT_TOL = 1e-9
 ENVELOPE_STEP = 1e-4
 _GRID = np.linspace(0.0, 1.0, int(round(1.0 / ENVELOPE_STEP)) + 1)
 _GRID.setflags(write=False)
-
-
-def _check_exponent(q: float) -> None:
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-
-
-def _unit_interval(x, error: type, what: str) -> np.ndarray:
-    """``x`` as a float array, checked to lie in [0, 1] up to 1e-12."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:  # a Python comparison costs a tenth of two ufuncs and a reduction
-        inside = -1e-12 <= float(a) <= 1.0 + 1e-12
-    else:
-        inside = ((a >= -1e-12) & (a <= 1.0 + 1e-12)).all()
-    if not inside:
-        raise error(f"{what} {x} outside [0, 1]")
-    return a
+_NEED_Q = "need q >= 2, got {}"
+_FIDELITY = "fidelity {} outside [0, 1]"
+_MIXING = "mixing parameter {} outside [0, 1]"
 
 
 def _vanish_at_or_below(val, x: np.ndarray, edge: float):
@@ -91,11 +68,9 @@ def chi_sigma(F: float, d: int) -> ChiSigma:
     chi**2 + (d-1) sigma**2 = 1 and chi + (d-1) sigma = sqrt(F d).
     """
     if d < 2:
-        raise BadDimension("d must be >= 2")
-    if F > 1.0 + 1e-12:
-        raise FidelityOutOfRange(f"fidelity {F} > 1")
-    if F < 1.0 / d - 1e-12:
-        raise FidelityBelowSeparableBoundary(f"fidelity {F} below 1/d = {1.0/d:.6f}")
+        raise CtqError("d must be >= 2")
+    check_range(F, "fidelity {} > 1", hi=1.0)
+    check_range(F, f"fidelity {{}} below 1/d = {1.0/d:.6f}", 1.0 / d)
     chi, sigma = _chi_sigma(min(max(F, 1.0 / d), 1.0), d)
     return ChiSigma(float(chi), float(sigma))
 
@@ -111,10 +86,10 @@ def zeta_isotropic(F, q: float, d: int, normalized: bool = True):
     exponents the oracle finds lower values towards F = 1.
     F may be a scalar (float result) or an array (array result).
     """
-    _check_exponent(q)
+    check_range(q, _NEED_Q, 2.0)
     if d < 2:
-        raise BadDimension("d must be >= 2")
-    F = _unit_interval(F, FidelityOutOfRange, "fidelity")
+        raise CtqError("d must be >= 2")
+    F = check_range(F, _FIDELITY, 0.0, 1.0)
     chi, sigma = _chi_sigma(np.minimum(np.maximum(F, 1.0 / d), 1.0), d)
     c2, s2 = chi * chi, sigma * sigma
     # np.power, not **: a scalar F is a numpy scalar by now, whose ** calls the C
@@ -135,8 +110,8 @@ def zeta_werner(w, q: float, normalized: bool = True):
     G = 2 sqrt(w (1-w)).  In normalized units this equals h_q(2w - 1).
     w may be a scalar (float result) or an array (array result).
     """
-    _check_exponent(q)
-    w = _unit_interval(w, ParameterOutOfRange, "mixing parameter")
+    check_range(q, _NEED_Q, 2.0)
+    w = check_range(w, _MIXING, 0.0, 1.0)
     wc = np.minimum(np.maximum(w, 0.5), 1.0)
     G = 2.0 * np.sqrt(wc * (1.0 - wc))
     # np.power, not **, as in zeta_isotropic
@@ -158,7 +133,7 @@ class ConvexCurve:
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if g.shape != v.shape or g.ndim != 1:
-            raise DimensionMismatch("grid and values must be matching vectors")
+            raise CtqError("grid and values must be matching vectors")
         for a in (g, v):
             a.setflags(write=False)
         object.__setattr__(self, "grid", g)
@@ -193,11 +168,11 @@ def convex_envelope(grid, values) -> ConvexCurve:
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if g.ndim != 1 or g.shape != v.shape:
-        raise DimensionMismatch("grid and values must be matching vectors")
+        raise CtqError("grid and values must be matching vectors")
     if g.size < 3:
-        raise GridTooCoarse(f"need at least 3 grid points, got {g.size}")
+        raise CtqError(f"need at least 3 grid points, got {g.size}")
     if np.any(np.diff(g) <= 0):
-        raise DimensionMismatch("grid must be strictly ascending")
+        raise CtqError("grid must be strictly ascending")
 
     hull = _lower_hull_indices(g, v)
     env = np.interp(g, g[hull], v[hull])
@@ -260,8 +235,8 @@ def ctq_isotropic(F, q: float, d: int):
     linear interpolant between the exact values at the chord endpoints.
     F may be a scalar (float result) or an array (array result).
     """
-    _check_exponent(q)
-    F = np.minimum(_unit_interval(F, FidelityOutOfRange, "fidelity"), 1.0)
+    check_range(q, _NEED_Q, 2.0)
+    F = np.minimum(check_range(F, _FIDELITY, 0.0, 1.0), 1.0)
     hull = _iso_hull(float(q), int(d))
     return _envelope(F, 1.0 / d, hull, lambda x: zeta_isotropic(x, q, d))
 
@@ -274,8 +249,8 @@ def ctq_werner(w, q: float):
     where the envelope is a chord ending there.
     w may be a scalar (float result) or an array (array result).
     """
-    _check_exponent(q)
-    w = np.minimum(_unit_interval(w, ParameterOutOfRange, "mixing parameter"), 1.0)
+    check_range(q, _NEED_Q, 2.0)
+    w = np.minimum(check_range(w, _MIXING, 0.0, 1.0), 1.0)
     return _envelope(w, 0.5, _werner_hull(float(q)), lambda x: zeta_werner(x, q))
 
 
@@ -315,7 +290,7 @@ def eof_werner(w):
 
     w may be a scalar (float result) or an array (array result).
     """
-    w = _unit_interval(w, ParameterOutOfRange, "mixing parameter")
+    w = check_range(w, _MIXING, 0.0, 1.0)
     C = np.minimum(2.0 * w - 1.0, 1.0)
     x = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - C * C))) / 2.0
     live = (w > 0.5) & (x < 1.0 - 1e-15)  # at w -> 1/2 the entropy vanishes
@@ -411,12 +386,10 @@ def oracle_min_schmidt(F: float, q: float, d: int, restarts: int = 100, seed: in
     descent from random feasible interior points.  Independent of the
     closed-form chi/sigma expressions except through the shared constraint.
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
+    check_range(q, _NEED_Q, 2.0)
     if d < 2 or d > 5:
-        raise BadDimension(f"oracle supports 2 <= d <= 5, got {d}")
-    if not 1.0 / d < F <= 1.0 + 1e-12:
-        raise InfeasibleConstraint(f"need 1/d < F <= 1, got F={F}")
+        raise CtqError(f"oracle supports 2 <= d <= 5, got {d}")
+    check_range(F, "need 1/d < F <= 1, got F={}", 1.0 / d, 1.0, open_lo=True)
     c = np.sqrt(min(F, 1.0) * d)
 
     best = np.inf

@@ -1,67 +1,16 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, and the one range check that raises them.
 
-All errors derive from :class:`CtqError` so callers can catch broadly.
+Every invalid input raises :class:`CtqError`.  Its two subclasses mark the
+cases in which ``ctq measure`` falls back to reporting the trace-norm bound.
 """
+
+from math import inf, isfinite
+
+import numpy as np
 
 
 class CtqError(ValueError):
-    """Base class for all library errors."""
-
-
-class NonSquare(CtqError):
-    """Matrix expected to be square."""
-
-
-class NotHermitian(CtqError):
-    """Matrix deviates from its adjoint beyond tolerance."""
-
-
-class DimensionMismatch(CtqError):
-    """Array shape inconsistent with the subsystem dimension signature."""
-
-
-class EmptyKeepSet(CtqError):
-    """Partial trace asked to keep no subsystem."""
-
-
-class ZeroVector(CtqError):
-    """Amplitude vector has (near-)zero norm."""
-
-
-class NotNormalized(CtqError):
-    """State vector or coefficient list is not normalized."""
-
-
-class FidelityOutOfRange(CtqError):
-    """Isotropic fidelity parameter outside [0, 1]."""
-
-
-class ParameterOutOfRange(CtqError):
-    """Mixing parameter outside its admissible interval."""
-
-
-class RankTooLarge(CtqError):
-    """Requested rank exceeds the matrix dimension."""
-
-
-class BadExponent(CtqError):
-    """Measure exponent outside its admissible range."""
-
-
-class BadDimension(CtqError):
-    """Dimension argument invalid for the requested operation."""
-
-
-class NotADistribution(CtqError):
-    """Vector is not a probability distribution."""
-
-
-class DomainError(CtqError):
-    """Scalar argument outside the function domain."""
-
-
-class WrongDimensions(CtqError):
-    """Operation defined only for a specific subsystem signature."""
+    """Invalid input: a parameter, dimension, state or file the library refuses."""
 
 
 class ExponentOutsideTheoremRange(CtqError):
@@ -72,33 +21,22 @@ class UnequalLocalDims(CtqError):
     """Bound requires equal local dimensions."""
 
 
-class ExponentOrderViolated(CtqError):
-    """Exponent-monotonicity bound called with exponents out of order."""
+def check_range(x, message: str, lo: float = -inf, hi: float = inf, *, open_lo: bool = False,
+                slack: float = 1e-12, error: type = CtqError) -> np.ndarray:
+    """``x`` as a numpy float or array, checked to be finite and to lie in [lo, hi].
 
-
-class RootNotBracketed(CtqError):
-    """Bisection bracket does not straddle a sign change."""
-
-
-class FidelityBelowSeparableBoundary(CtqError):
-    """Fidelity below 1/d, where the two-level parameters are undefined."""
-
-
-class GridTooCoarse(CtqError):
-    """Sampled curve has too few points for envelope construction."""
-
-
-class InfeasibleConstraint(CtqError):
-    """Constrained minimization has an empty feasible set."""
-
-
-class NotAllQubits(CtqError):
-    """Monogamy check requires every local dimension to be 2."""
-
-
-class ParseError(CtqError):
-    """State file could not be parsed."""
-
-
-class UnsupportedState(CtqError):
-    """No exact formula available for this state; use bounds instead."""
+    Closed ends admit ``slack`` beyond them; with ``open_lo`` the lower end is
+    open, x > lo, with no slack.  An array is checked element-wise.
+    Otherwise raises ``error(message.format(x))``.
+    """
+    if isinstance(x, (float, int)):  # a Python comparison costs a tenth of the array path
+        v = float(x)
+        a = np.float64(v)
+        inside = (v > lo if open_lo else v >= lo - slack) and v <= hi + slack and isfinite(v)
+    else:
+        a = np.asarray(x, dtype=float)
+        above = a > lo if open_lo else a >= lo - slack
+        inside = (above & (a <= hi + slack)).all() and np.isfinite(a).all()
+    if not inside:
+        raise error(message.format(x))
+    return a

@@ -20,19 +20,11 @@ from enum import Enum
 import numpy as np
 
 from . import qlinalg
-from .exceptions import (
-    BadDimension,
-    BadExponent,
-    DomainError,
-    ExponentOutsideTheoremRange,
-    NotADistribution,
-    WrongDimensions,
-)
+from .exceptions import CtqError, ExponentOutsideTheoremRange, check_range
 from .states import DensityMatrix, PureState, SchmidtSpectrum, schmidt_spectrum
 
-# test seam: scale factor applied to the normalization constant, used by the
-# acceptance runner's mutation smoke check; leave at 1.0 in normal operation
-_MU_SCALE = 1.0
+_NEED_Q = "exponent q must be >= 2, got {}"
+_CLOSED_FORM_Q = "closed form requires 2 <= q <= 4, got {}"
 
 
 class Family(Enum):
@@ -47,10 +39,10 @@ class MeasureParams:
     normalized: bool = True
 
     def __post_init__(self):
-        if self.family is Family.Q and self.exponent < 2.0 - 1e-12:
-            raise BadExponent(f"family Q requires exponent >= 2, got {self.exponent}")
-        if self.family is Family.ALPHA and not -1e-12 <= self.exponent <= 0.5 + 1e-12:
-            raise BadExponent(f"family ALPHA requires exponent in [0, 1/2], got {self.exponent}")
+        if self.family is Family.Q:
+            check_range(self.exponent, "family Q requires exponent >= 2, got {}", 2.0)
+        else:
+            check_range(self.exponent, "family ALPHA requires exponent in [0, 1/2], got {}", 0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -61,15 +53,15 @@ class MeasureValue:
 
     def __post_init__(self):
         hi = 1.0 if self.params.normalized else normalization_mu(self.effective_dim, self.params.exponent)
-        if not -1e-10 <= self.value <= hi + 1e-10:
-            raise DomainError(f"measure value {self.value} outside [0, {hi}]")
+        check_range(self.value, f"measure value {{}} outside [0, {hi}]", 0.0, hi, slack=1e-10)
 
 
 def normalization_mu(d: int, q: float) -> float:
     """Maximal value d - d**(1-q) * (1 + (d-1)**q) of the spectral functional."""
     if d < 2:
-        raise BadDimension(f"normalization needs d >= 2, got {d}")
-    return (d - d ** (1.0 - q) * (1.0 + (d - 1.0) ** q)) * _MU_SCALE
+        raise CtqError(f"normalization needs d >= 2, got {d}")
+    check_range(q, "normalization needs a finite q, got {}")
+    return d - d ** (1.0 - q) * (1.0 + (d - 1.0) ** q)
 
 
 def _spectrum_values(lam) -> np.ndarray:
@@ -77,14 +69,8 @@ def _spectrum_values(lam) -> np.ndarray:
         return lam.values
     v = np.asarray(lam, dtype=float)
     if v.ndim != 1 or v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
-        raise NotADistribution("expected a probability spectrum")
+        raise CtqError("expected a probability spectrum")
     return np.clip(v, 0.0, 1.0)
-
-
-def _check_q(q: float) -> float:
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"exponent q must be >= 2, got {q}")
-    return float(q)
 
 
 def _clamp(x: float) -> float:
@@ -93,21 +79,21 @@ def _clamp(x: float) -> float:
 
 def q_concurrence_pure(lam, q: float) -> float:
     """Purity deficit 1 - sum_i lam_i**q of a Schmidt spectrum."""
-    q = _check_q(q)
+    q = float(check_range(q, _NEED_Q, 2.0))
     v = _spectrum_values(lam)
     return _clamp(float(1.0 - np.sum(v**q)))
 
 
 def total_concurrence_pure(lam, q: float, d: int | None = None) -> float:
     """Unnormalized d - sum lam**q - sum (1-lam)**q, spectrum padded to length d."""
-    q = _check_q(q)
+    q = float(check_range(q, _NEED_Q, 2.0))
     v = _spectrum_values(lam)
     if d is None:
         d = v.size
     d = int(d)
     if d < v.size:
         if np.any(v[d:] > 1e-12):
-            raise BadDimension(f"spectrum has {v.size} nonzero entries > d = {d}")
+            raise CtqError(f"spectrum has {v.size} nonzero entries > d = {d}")
         v = v[:d]
     elif d > v.size:
         v = np.concatenate([v, np.zeros(d - v.size)])
@@ -121,7 +107,7 @@ def ctq_pure(psi: PureState, q: float) -> MeasureValue:
     that many nonzero entries, so the normalization mu(min(dA, dB), q) makes
     the value 1 exactly on maximally entangled states.
     """
-    q = _check_q(q)
+    q = float(check_range(q, _NEED_Q, 2.0))
     lam = schmidt_spectrum(psi)
     d = min(psi.dims)
     raw = total_concurrence_pure(lam, q, d)
@@ -137,8 +123,7 @@ def ct_alpha_pure(psi: PureState, alpha: float) -> float:
     coefficients never contribute (keeps products at exactly 0 for all
     alpha including alpha = 0).
     """
-    if not -1e-12 <= alpha <= 0.5 + 1e-12:
-        raise BadExponent(f"alpha must lie in [0, 1/2], got {alpha}")
+    check_range(alpha, "alpha must lie in [0, 1/2], got {}", 0.0, 0.5)
     alpha = min(max(alpha, 0.0), 0.5)
     lam = schmidt_spectrum(psi).values
     d = min(psi.dims)
@@ -156,7 +141,7 @@ def classical_total_c2(p) -> float:
     """Total 2-concurrence of a probability vector: 2 * sum_i p_i (1 - p_i)."""
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
-        raise NotADistribution("expected a probability vector")
+        raise CtqError("expected a probability vector")
     v = np.clip(v, 0.0, 1.0)
     return float(2.0 * np.sum(v * (1.0 - v)))
 
@@ -167,10 +152,8 @@ def h_q(x: float, q: float) -> float:
     h_q(x) = [1 - ((1+r)/2)**q - ((1-r)/2)**q] / (1 - 2**(1-q)) with
     r = sqrt(1 - x**2).  Reduces to x**2 at q = 2 and q = 3.
     """
-    if q <= 1.0:
-        raise BadExponent(f"h_q needs q > 1, got {q}")
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise DomainError(f"argument {x} outside [0, 1]")
+    check_range(q, "h_q needs q > 1, got {}", 1.0, open_lo=True)
+    check_range(x, "argument {} outside [0, 1]", 0.0, 1.0)
     x = min(max(x, 0.0), 1.0)
     r = np.sqrt(max(0.0, 1.0 - x * x))
     num = 1.0 - ((1.0 + r) / 2.0) ** q - ((1.0 - r) / 2.0) ** q
@@ -190,12 +173,12 @@ def wootters_concurrence_2qubit(rho: DensityMatrix | np.ndarray) -> float:
     """Spin-flip concurrence max(0, sqrt(r1) - sqrt(r2) - sqrt(r3) - sqrt(r4))."""
     if isinstance(rho, DensityMatrix):
         if rho.dims != (2, 2):
-            raise WrongDimensions(f"need a (2, 2) state, got dims {rho.dims}")
+            raise CtqError(f"need a (2, 2) state, got dims {rho.dims}")
         R = rho.mat
     else:
         R = qlinalg.as_matrix(rho)
         if R.shape != (4, 4):
-            raise WrongDimensions(f"need a 4 x 4 matrix, got shape {R.shape}")
+            raise CtqError(f"need a 4 x 4 matrix, got shape {R.shape}")
     tilde = _SY_SY @ R.conj() @ _SY_SY
     # eigenvalues of rho @ tilde via the Hermitian form sqrt(rho) tilde sqrt(rho),
     # which eigvalsh evaluates far more accurately near rank deficiency; noise-level
@@ -217,8 +200,7 @@ def ctq_two_qubit_mixed(rho: DensityMatrix, q: float) -> MeasureValue:
     Valid for 2 <= q <= 4, where the map h_q is monotone and convex so the
     convex roof collapses onto h_q of the spin-flip concurrence.
     """
-    if not 2.0 - 1e-12 <= q <= 4.0 + 1e-12:
-        raise ExponentOutsideTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
+    check_range(q, _CLOSED_FORM_Q, 2.0, 4.0, error=ExponentOutsideTheoremRange)
     c = wootters_concurrence_2qubit(rho)
     return MeasureValue(h_q(c, q), MeasureParams(Family.Q, q, normalized=True), 2)
 
@@ -229,6 +211,5 @@ def ctq_from_concurrence(c: float, q: float) -> float:
     No closed form exists for the concurrence itself beyond two qubits, so
     the caller provides it and this applies the same h_q map.
     """
-    if not 2.0 - 1e-12 <= q <= 4.0 + 1e-12:
-        raise ExponentOutsideTheoremRange(f"closed form requires 2 <= q <= 4, got {q}")
+    check_range(q, _CLOSED_FORM_Q, 2.0, 4.0, error=ExponentOutsideTheoremRange)
     return h_q(c, q)

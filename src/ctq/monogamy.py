@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BadExponent, NotAllQubits, NotNormalized
+from .exceptions import CtqError, check_range
 from .measures import h_q, normalization_mu, wootters_concurrence_2qubit
 from .states import MultipartiteState
+
+_GAMMA = "gamma must be positive, got {}"
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,9 @@ def monogamy_check(psi: MultipartiteState, q: float, gamma: float = 1.0) -> Mono
     guaranteed nonnegative only for 2 <= q <= 3 at gamma = 1.
     """
     if any(d != 2 for d in psi.dims):
-        raise NotAllQubits(f"all local dimensions must be 2, got {psi.dims}")
-    if gamma <= 0:
-        raise BadExponent(f"gamma must be positive, got {gamma}")
-    if q <= 1.0:
-        raise BadExponent(f"need q > 1, got {q}")
+        raise CtqError(f"all local dimensions must be 2, got {psi.dims}")
+    check_range(gamma, _GAMMA, 0.0, open_lo=True)
+    check_range(q, "need q > 1, got {}", 1.0, open_lo=True)
     k = len(psi.dims)
     rho_a = psi.marginal([0])
     purity = float(np.trace(rho_a @ rho_a).real)
@@ -74,9 +74,9 @@ def gen_schmidt_concurrences(nu) -> tuple[float, float, float]:
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (5,):
-        raise NotNormalized("expected 5 coefficients")
+        raise CtqError("expected 5 coefficients")
     if abs(float(np.sum(nu**2)) - 1.0) > 1e-6:
-        raise NotNormalized("coefficients must have unit sum of squares")
+        raise CtqError("coefficients must have unit sum of squares")
     c_cut = 2.0 * nu[0] * np.sqrt(nu[2] ** 2 + nu[3] ** 2 + nu[4] ** 2)
     return float(c_cut), float(2.0 * nu[0] * nu[2]), float(2.0 * nu[0] * nu[3])
 
@@ -86,61 +86,75 @@ def example2_K(nu, q: float, alpha_exp: float) -> tuple[float, float]:
 
     K1 = h_q(C_A|BC)**alpha, K2 = h_q(C_AB)**alpha + h_q(C_AC)**alpha.
     """
-    if not 2.0 - 1e-12 <= q <= 3.0 + 1e-12:
-        raise BadExponent(f"need 2 <= q <= 3, got {q}")
-    if not 1.0 - 1e-12 <= alpha_exp <= 4.0 + 1e-12:
-        raise BadExponent(f"need 1 <= alpha <= 4, got {alpha_exp}")
+    check_range(q, "need 2 <= q <= 3, got {}", 2.0, 3.0)
+    check_range(alpha_exp, "need 1 <= alpha <= 4, got {}", 1.0, 4.0)
     c_cut, c_ab, c_ac = gen_schmidt_concurrences(nu)
     K1 = h_q(c_cut, q) ** alpha_exp
     K2 = h_q(c_ab, q) ** alpha_exp + h_q(c_ac, q) ** alpha_exp
     return float(K1), float(K2)
 
 
-def chain_ctq(theta: float, q: float) -> tuple[float, float, float]:
+def _floats(theta: np.ndarray, *values):
+    """The values, as floats for a scalar theta."""
+    return tuple(float(v) for v in values) if theta.ndim == 0 else values
+
+
+def chain_ctq(theta, q: float):
     """Closed-form measure triple of the 4 x 2 x 2 chain state.
 
     Returns (A|BC cut, AB marginal, AC marginal) in normalized units, with
     alpha = cos(theta), beta = sin(theta):
 
       A|BC: [4 - 2**(1-q) (a^2q + (2-a^2)^q + b^2q + (2-b^2)^q)] / mu(4, q)
-      AB:   (1 - a^2q - b^2q) / (1 - 2**(1-q))
+      AB:   (1 - a^2q - b^2q) / (1 - 2**(1-q)), clamped at 0
       AC:   1
+
+    theta may be a scalar (floats) or an array (arrays of its shape).
     """
-    if q < 2.0 - 1e-12:
-        raise BadExponent(f"need q >= 2, got {q}")
-    a2 = np.cos(theta) ** 2
-    b2 = np.sin(theta) ** 2
-    num = 4.0 - 2.0 ** (1.0 - q) * (a2**q + (2.0 - a2) ** q + b2**q + (2.0 - b2) ** q)
-    ct_a_bc = num / normalization_mu(4, q)
-    ct_ab = (1.0 - a2**q - b2**q) / (1.0 - 2.0 ** (1.0 - q))
-    return float(ct_a_bc), float(ct_ab), 1.0
+    check_range(q, "need q >= 2, got {}", 2.0)
+    theta = np.asarray(theta, dtype=float)
+    a2, b2 = np.square(np.cos(theta)), np.square(np.sin(theta))
+    # np.power, not **, so that a scalar theta gives the bits of an array
+    a2q, b2q = np.power(a2, q), np.power(b2, q)
+    num = 4.0 - 2.0 ** (1.0 - q) * (a2q + np.power(2.0 - a2, q) + b2q + np.power(2.0 - b2, q))
+    ct_ab = np.maximum(1.0 - a2q - b2q, 0.0) / (1.0 - 2.0 ** (1.0 - q))
+    return _floats(theta, num / normalization_mu(4, q), ct_ab, np.ones_like(theta))
 
 
-def chain_concurrence(theta: float) -> tuple[float, float, float]:
-    """Concurrence triple of the chain state: (sqrt(2 - b^4 - a^4), sqrt(2 - 2b^4 - 2a^4), 1)."""
-    a4 = np.cos(theta) ** 4
-    b4 = np.sin(theta) ** 4
-    return (
-        float(np.sqrt(max(0.0, 2.0 - b4 - a4))),
-        float(np.sqrt(max(0.0, 2.0 - 2.0 * b4 - 2.0 * a4))),
-        1.0,
-    )
+def chain_concurrence(theta):
+    """Concurrence triple of the chain state: (sqrt(2 - b^4 - a^4), sqrt(2 - 2b^4 - 2a^4), 1).
+
+    theta may be a scalar (floats) or an array (arrays of its shape).
+    """
+    theta = np.asarray(theta, dtype=float)
+    a4, b4 = np.power(np.cos(theta), 4), np.power(np.sin(theta), 4)
+    c_cut = np.sqrt(np.maximum(0.0, 2.0 - b4 - a4))
+    c_ab = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * b4 - 2.0 * a4))
+    return _floats(theta, c_cut, c_ab, np.ones_like(theta))
 
 
-def residual_tau(theta: float, q: float, gamma: float, which: str = "ctq") -> float:
+def chain_residual(triple, gamma: float):
+    """Residual lhs**gamma - t1**gamma - t2**gamma of a (lhs, t1, t2) triple
+    of floats or arrays, as :func:`chain_ctq` and :func:`chain_concurrence` give."""
+    check_range(gamma, _GAMMA, 0.0, open_lo=True)
+    lhs, t1, t2 = triple
+    tau = np.power(lhs, gamma) - np.power(t1, gamma) - np.power(t2, gamma)
+    return float(tau) if np.ndim(tau) == 0 else tau
+
+
+def residual_tau(theta, q: float, gamma: float, which: str = "ctq"):
     """Residual lhs**gamma - t1**gamma - t2**gamma for the chain family.
 
     ``which`` selects the measure: "ctq" uses the closed-form normalized
     triple, "concurrence" the concurrence triple.  No sign guarantee is
-    made; the surface changes sign with (theta, q, gamma).
+    made; the surface changes sign with (theta, q, gamma).  theta may be a
+    scalar (float result) or an array (array result).
     """
-    if gamma <= 0:
-        raise BadExponent(f"gamma must be positive, got {gamma}")
     key = which.lower()
     if key == "ctq":
-        lhs, t1, t2 = chain_ctq(theta, q)
+        triple = chain_ctq(theta, q)
     elif key == "concurrence":
-        lhs, t1, t2 = chain_concurrence(theta)
+        triple = chain_concurrence(theta)
     else:
-        raise BadExponent(f"which must be 'ctq' or 'concurrence', got {which!r}")
-    return float(lhs**gamma - t1**gamma - t2**gamma)
+        raise CtqError(f"which must be 'ctq' or 'concurrence', got {which!r}")
+    return chain_residual(triple, gamma)

@@ -11,12 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import (
-    DimensionMismatch,
-    EmptyKeepSet,
-    NonSquare,
-    NotHermitian,
-)
+from .exceptions import CtqError
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_CLIP = 1e-12
@@ -26,9 +21,9 @@ def as_matrix(M) -> np.ndarray:
     """Validate and return ``M`` as a 2-D complex array with finite entries."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={A.ndim}")
+        raise CtqError(f"expected a 2-D matrix, got ndim={A.ndim}")
     if not np.all(np.isfinite(A.view(float))):
-        raise DimensionMismatch("matrix contains NaN or Inf entries")
+        raise CtqError("matrix contains NaN or Inf entries")
     return A
 
 
@@ -46,10 +41,10 @@ def hermitian_spectrum(M) -> np.ndarray:
     """
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
-        raise NonSquare(f"matrix has shape {A.shape}")
+        raise CtqError(f"matrix has shape {A.shape}")
     dev = np.max(np.abs(A - A.conj().T))
     if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"max |M - M^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL}")
+        raise CtqError(f"max |M - M^dagger| = {dev:.3e} exceeds {HERMITICITY_TOL}")
     w = np.linalg.eigvalsh(hermitianize(A))
     return np.sort(w)[::-1]
 
@@ -74,13 +69,13 @@ def trace_norm(M) -> float:
 
 def _check_bipartite(rho: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     if len(dims) != 2:
-        raise DimensionMismatch(f"expected a bipartite signature, got {tuple(dims)}")
+        raise CtqError(f"expected a bipartite signature, got {tuple(dims)}")
     dA, dB = int(dims[0]), int(dims[1])
     if dA < 1 or dB < 1:
-        raise DimensionMismatch("subsystem dimensions must be positive")
+        raise CtqError("subsystem dimensions must be positive")
     n = dA * dB
     if rho.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {rho.shape} != ({n}, {n}) for dims {tuple(dims)}")
+        raise CtqError(f"matrix shape {rho.shape} != ({n}, {n}) for dims {tuple(dims)}")
     return dA, dB
 
 
@@ -116,7 +111,7 @@ def realign_inverse(R, dims: Sequence[int]) -> np.ndarray:
     A = as_matrix(R)
     dA, dB = int(dims[0]), int(dims[1])
     if A.shape != (dA * dA, dB * dB):
-        raise DimensionMismatch(f"realigned shape {A.shape} != ({dA*dA}, {dB*dB})")
+        raise CtqError(f"realigned shape {A.shape} != ({dA*dA}, {dB*dB})")
     T = A.reshape(dA, dA, dB, dB)
     return T.transpose(0, 2, 1, 3).reshape(dA * dB, dA * dB)
 
@@ -131,12 +126,12 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     n = int(np.prod(dims))
     if A.shape != (n, n):
-        raise DimensionMismatch(f"matrix shape {A.shape} != ({n}, {n}) for dims {dims}")
+        raise CtqError(f"matrix shape {A.shape} != ({n}, {n}) for dims {dims}")
     keep = sorted(set(int(k) for k in keep))
     if not keep:
-        raise EmptyKeepSet("keep set must contain at least one subsystem")
+        raise CtqError("keep set must contain at least one subsystem")
     if keep[0] < 0 or keep[-1] >= len(dims):
-        raise DimensionMismatch(f"keep indices {keep} out of range for {len(dims)} subsystems")
+        raise CtqError(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
     nsys = len(dims)
     T = A.reshape(dims + dims)

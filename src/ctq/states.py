@@ -15,16 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qlinalg
-from .exceptions import (
-    DimensionMismatch,
-    EmptyKeepSet,
-    FidelityOutOfRange,
-    NotNormalized,
-    ParameterOutOfRange,
-    ParseError,
-    RankTooLarge,
-    ZeroVector,
-)
+from .exceptions import CtqError, check_range
 
 NORM_TOL = 1e-10
 INPUT_SLACK = 1e-6
@@ -33,7 +24,7 @@ INPUT_SLACK = 1e-6
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"invalid dimension signature {dims}")
+        raise CtqError(f"invalid dimension signature {dims}")
     return dims
 
 
@@ -52,11 +43,11 @@ class PureState:
 
     def __post_init__(self):
         if len(self.dims) != 2:
-            raise DimensionMismatch(f"PureState needs a bipartite signature, got {self.dims}")
+            raise CtqError(f"PureState needs a bipartite signature, got {self.dims}")
         if self.amps.shape != (self.dims[0] * self.dims[1],):
-            raise DimensionMismatch("amplitude length does not match signature")
+            raise CtqError("amplitude length does not match signature")
         if abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise NotNormalized("pure state amplitudes not normalized")
+            raise CtqError("pure state amplitudes not normalized")
         object.__setattr__(self, "amps", _frozen(self.amps))
 
     def density(self) -> np.ndarray:
@@ -75,11 +66,11 @@ class MultipartiteState:
 
     def __post_init__(self):
         if len(self.dims) < 3:
-            raise DimensionMismatch(f"MultipartiteState needs >= 3 parts, got {self.dims}")
+            raise CtqError(f"MultipartiteState needs >= 3 parts, got {self.dims}")
         if self.amps.shape != (int(np.prod(self.dims)),):
-            raise DimensionMismatch("amplitude length does not match signature")
+            raise CtqError("amplitude length does not match signature")
         if abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise NotNormalized("state amplitudes not normalized")
+            raise CtqError("state amplitudes not normalized")
         object.__setattr__(self, "amps", _frozen(self.amps))
 
     def density(self) -> np.ndarray:
@@ -95,9 +86,9 @@ class MultipartiteState:
         order: M M^dagger, M the amplitudes as a (kept, traced-out) matrix."""
         keep = sorted(set(int(k) for k in keep))
         if not keep:
-            raise EmptyKeepSet("keep set must contain at least one subsystem")
+            raise CtqError("keep set must contain at least one subsystem")
         if keep[0] < 0 or keep[-1] >= len(self.dims):
-            raise DimensionMismatch(f"keep indices {keep} out of range for dims {self.dims}")
+            raise CtqError(f"keep indices {keep} out of range for dims {self.dims}")
         rest = [i for i in range(len(self.dims)) if i not in keep]
         M = np.transpose(self.amps.reshape(self.dims), keep + rest)
         M = M.reshape(int(np.prod([self.dims[i] for i in keep])), -1)
@@ -114,14 +105,14 @@ class DensityMatrix:
     def __post_init__(self):
         n = int(np.prod(self.dims))
         if self.mat.shape != (n, n):
-            raise DimensionMismatch(f"matrix shape {self.mat.shape} != ({n}, {n})")
+            raise CtqError(f"matrix shape {self.mat.shape} != ({n}, {n})")
         if np.max(np.abs(self.mat - self.mat.conj().T)) > qlinalg.HERMITICITY_TOL:
-            raise NotNormalized("density matrix not Hermitian within tolerance")
+            raise CtqError("density matrix not Hermitian within tolerance")
         w = np.linalg.eigvalsh(qlinalg.hermitianize(self.mat))
         if w.min() < -1e-10:
-            raise NotNormalized(f"density matrix has eigenvalue {w.min():.3e} < -1e-10")
+            raise CtqError(f"density matrix has eigenvalue {w.min():.3e} < -1e-10")
         if abs(np.trace(self.mat).real - 1.0) > NORM_TOL:
-            raise NotNormalized("density matrix trace differs from 1")
+            raise CtqError("density matrix trace differs from 1")
         object.__setattr__(self, "mat", _frozen(self.mat))
 
 
@@ -134,11 +125,11 @@ class SchmidtSpectrum:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size == 0:
-            raise DimensionMismatch("spectrum must be a nonempty vector")
+            raise CtqError("spectrum must be a nonempty vector")
         if np.any(np.diff(v) > 1e-12) or v.min() < -1e-12:
-            raise NotNormalized("spectrum must be nonnegative and descending")
+            raise CtqError("spectrum must be nonnegative and descending")
         if abs(v.sum() - 1.0) > NORM_TOL:
-            raise NotNormalized("spectrum must sum to 1")
+            raise CtqError("spectrum must sum to 1")
         object.__setattr__(self, "values", _frozen(np.clip(v, 0.0, 1.0)))
 
     def __len__(self) -> int:
@@ -150,12 +141,12 @@ def pure_from_amplitudes(amps, dims: Sequence[int]) -> PureState | MultipartiteS
     dims = _check_dims(dims)
     a = np.asarray(amps, dtype=complex).ravel()
     if a.size != int(np.prod(dims)):
-        raise DimensionMismatch(f"{a.size} amplitudes for signature {dims}")
+        raise CtqError(f"{a.size} amplitudes for signature {dims}")
     norm = np.linalg.norm(a)
     if norm < 1e-12:
-        raise ZeroVector("amplitude vector has zero norm")
+        raise CtqError("amplitude vector has zero norm")
     if abs(norm - 1.0) > INPUT_SLACK * (1.0 + 1e-9):
-        raise NotNormalized(f"norm {norm:.8f} deviates from 1 by more than {INPUT_SLACK}")
+        raise CtqError(f"norm {norm:.8f} deviates from 1 by more than {INPUT_SLACK}")
     a = a / norm
     if len(dims) == 2:
         return PureState(dims, a)
@@ -183,10 +174,9 @@ def max_entangled(d: int) -> PureState:
 
 def isotropic(F: float, d: int) -> DensityMatrix:
     """Mixture of the maximally entangled state (weight by fidelity F) and noise."""
-    if not 0.0 <= F <= 1.0:
-        raise FidelityOutOfRange(f"fidelity {F} outside [0, 1]")
+    check_range(F, "fidelity {} outside [0, 1]", 0.0, 1.0, slack=0.0)
     if d < 2:
-        raise DimensionMismatch("d must be >= 2")
+        raise CtqError("d must be >= 2")
     P = max_entangled(d).density()
     I = np.eye(d * d)
     rho = (1.0 - F) / (d * d - 1.0) * (I - P) + F * P
@@ -206,10 +196,9 @@ def antisymmetric_projector(d: int) -> np.ndarray:
 def werner(w: float, d: int) -> DensityMatrix:
     """Exchange-invariant state with antisymmetric-subspace weight ``w``:
     (1 - w) (I + S) / (d (d + 1)) + w (I - S) / (d (d - 1))."""
-    if not 0.0 <= w <= 1.0:
-        raise ParameterOutOfRange(f"mixing parameter {w} outside [0, 1]")
+    check_range(w, "mixing parameter {} outside [0, 1]", 0.0, 1.0, slack=0.0)
     if d < 2:
-        raise DimensionMismatch("d must be >= 2")
+        raise CtqError("d must be >= 2")
     I, S = np.eye(d * d), _swap(d)
     rho = (1.0 - w) * (I + S) / (d * (d + 1.0)) + w * (I - S) / (d * (d - 1.0))
     return DensityMatrix((d, d), rho)
@@ -236,12 +225,12 @@ def gen_schmidt_3qubit(nu: Sequence[float], phi: float = 0.0) -> MultipartiteSta
     """Three-qubit state nu0|000> + nu1 e^{i phi}|100> + nu2|101> + nu3|110> + nu4|111>."""
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (5,):
-        raise DimensionMismatch("expected 5 coefficients")
+        raise CtqError("expected 5 coefficients")
     if np.any(nu < 0):
-        raise NotNormalized("coefficients must be nonnegative")
+        raise CtqError("coefficients must be nonnegative")
     ssq = float(np.sum(nu**2))
     if abs(ssq - 1.0) > INPUT_SLACK:
-        raise NotNormalized(f"sum of squares {ssq:.8f} deviates from 1")
+        raise CtqError(f"sum of squares {ssq:.8f} deviates from 1")
     nu = nu / np.sqrt(ssq)
     a = np.zeros(8, dtype=complex)
     a[0b000] = nu[0]
@@ -262,7 +251,7 @@ def random_pure(dims: Sequence[int], seed: int) -> PureState | MultipartiteState
     if len(dims) == 2:
         return PureState(dims, a)
     if len(dims) == 1:
-        raise DimensionMismatch("need at least two subsystems")
+        raise CtqError("need at least two subsystems")
     return MultipartiteState(dims, a)
 
 
@@ -271,7 +260,7 @@ def random_density(dims: Sequence[int], rank: int, seed: int) -> DensityMatrix:
     dims = _check_dims(dims)
     n = int(np.prod(dims))
     if rank < 1 or rank > n:
-        raise RankTooLarge(f"rank {rank} invalid for dimension {n}")
+        raise CtqError(f"rank {rank} invalid for dimension {n}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     rho = G @ G.conj().T
@@ -295,7 +284,7 @@ def state_to_dict(state) -> dict:
     elif isinstance(state, DensityMatrix):
         arr, kind = state.mat.ravel(), "density"
     else:
-        raise ParseError(f"cannot serialize object of type {type(state).__name__}")
+        raise CtqError(f"cannot serialize object of type {type(state).__name__}")
     return {
         "dims": list(state.dims),
         "kind": kind,
@@ -310,15 +299,15 @@ def state_from_dict(obj: dict):
         kind = obj["kind"]
         data = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed state object: {exc}") from exc
+        raise CtqError(f"malformed state object: {exc}") from exc
     if kind == "pure":
         return pure_from_amplitudes(data, dims)
     if kind == "density":
         n = int(np.prod(dims))
         if data.size != n * n:
-            raise ParseError(f"{data.size} entries for a {n} x {n} density matrix")
+            raise CtqError(f"{data.size} entries for a {n} x {n} density matrix")
         return DensityMatrix(dims, data.reshape(n, n))
-    raise ParseError(f"unknown state kind {kind!r}")
+    raise CtqError(f"unknown state kind {kind!r}")
 
 
 def save_state(state, path: str) -> None:
@@ -331,5 +320,5 @@ def load_state(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read state file {path}: {exc}") from exc
+        raise CtqError(f"cannot read state file {path}: {exc}") from exc
     return state_from_dict(obj)

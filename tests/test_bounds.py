@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from ctq import bounds, measures, states
-from ctq.exceptions import (
-    ExponentOrderViolated,
-    ExponentOutsideTheoremRange,
-    UnequalLocalDims,
-)
+from ctq.exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims
 
 from conftest import haar_pure
 
@@ -119,10 +115,19 @@ class TestCorollary1:
             assert ct3 == pytest.approx(1.5 * ct2, abs=1e-12)
 
     def test_order_errors(self):
-        with pytest.raises(ExponentOrderViolated):
+        with pytest.raises(CtqError, match="need q >= h, got q=2 < h=3"):
             bounds.corollary1_bound(0.5, 2, 3, 3)
-        with pytest.raises(ExponentOrderViolated):
+        with pytest.raises(CtqError, match="for d = 2 the bound requires h >= s = 3.33959, got h=2"):
             bounds.corollary1_bound(0.5, 3, 2, 2)  # h = 2 below the d = 2 threshold
+
+    def test_refuses_d3_above_h(self):
+        # test_corollary_bound_below_exact_d3 shows the scaled value exceeding
+        # the exact one there; d = 2 above the threshold still scales
+        for d in (3, 4):
+            with pytest.raises(ExponentOutsideTheoremRange, match="shown false for q > h"):
+                bounds.corollary1_bound(0.5, 5, 2, d)
+        mu = measures.normalization_mu
+        assert bounds.corollary1_bound(0.5, 5, 4, 2) == pytest.approx(mu(2, 5) / mu(2, 4) * 0.5)
 
     def test_monotonicity_d2_above_threshold(self, rng):
         # for qubits the normalized value is nondecreasing in q once q >= s

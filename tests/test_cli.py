@@ -265,6 +265,17 @@ class TestChainAndMonogamy:
         assert float(mid[2]) == pytest.approx(1.0, abs=1e-4)
         assert float(mid[5]) == pytest.approx(-1.0, abs=1e-4)
 
+    def test_chain_non_integer_gamma_at_small_angles(self, tmp_path):
+        # cos^2 rounds to 1 below theta ~ 1e-8, where 1 - a^2q - b^2q is -b^2q
+        out = tmp_path / "chain.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["chain", "--q", "2.5", "--gamma", "1.3", "--from", "0", "--to", "1e-8",
+                        "--step", "1e-6", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[3] for r in rows] == ["0", "0"]
+        assert all(np.isfinite(float(r[5])) for r in rows)
+
     def test_monogamy_command(self, tmp_path):
         a = np.zeros(8, dtype=complex)
         a[0] = a[7] = 1 / np.sqrt(2)
@@ -278,6 +289,48 @@ class TestChainAndMonogamy:
     def test_monogamy_rejects_bipartite(self, tmp_path):
         f = write_state(tmp_path, states.max_entangled(2), "bell.json")
         assert run(["monogamy", f, "--q", "2"]) == 2
+
+
+class TestRefusedInputs:
+    """Non-finite exponents and reversed or non-finite ranges exit 2 with an
+    error line instead of printing NaN columns or descending rows."""
+
+    @pytest.mark.parametrize(
+        "command", [["isotropic", "--d", "3"], ["werner"], ["chain"]], ids=["isotropic", "werner", "chain"]
+    )
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_exponent(self, command, q, capsys):
+        assert run(command + ["--q", q, "--step", "0.01"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_chain_gamma_nan(self, capsys):
+        assert run(["chain", "--q", "3", "--gamma", "nan", "--step", "0.01"]) == 2
+        assert "error: gamma must be positive, got nan" in capsys.readouterr().err
+
+    def test_monogamy_gamma_nan(self, tmp_path, capsys):
+        a = np.zeros(8, dtype=complex)
+        a[0] = a[7] = 1 / np.sqrt(2)
+        f = write_state(tmp_path, states.MultipartiteState((2, 2, 2), a), "ghz.json")
+        assert run(["monogamy", f, "--q", "2", "--gamma", "nan"]) == 2
+        assert "error: gamma must be positive, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["isotropic", "--d", "3", "--q", "3"], ["werner", "--q", "3"], ["chain", "--q", "3"]],
+        ids=["isotropic", "werner", "chain"],
+    )
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--from", "1", "--to", "0.5"], "need a finite --to >= --from = 1.0, got 0.5"),
+            (["--from", "nan"], "--from must be finite, got nan"),
+            (["--to", "inf"], "need a finite --to >= --from = 0.0, got inf"),
+        ],
+        ids=["reversed", "from-nan", "to-inf"],
+    )
+    def test_reversed_or_non_finite_range(self, command, bounds, message, capsys):
+        assert run(command + bounds + ["--step", "0.01"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestAccept:

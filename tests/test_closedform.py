@@ -3,16 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ctq import closedform, measures
-from ctq.exceptions import (
-    BadDimension,
-    BadExponent,
-    FidelityBelowSeparableBoundary,
-    FidelityOutOfRange,
-    GridTooCoarse,
-    InfeasibleConstraint,
-    ParameterOutOfRange,
-)
+from ctq import closedform, measures, monogamy
+from ctq.exceptions import CtqError
 
 
 def zeta(F, q, d, normalized=True):
@@ -48,7 +40,7 @@ class TestChiSigma:
             assert 0 <= p.sigma <= p.chi <= 1
 
     def test_below_boundary_raises(self):
-        with pytest.raises(FidelityBelowSeparableBoundary):
+        with pytest.raises(CtqError, match="fidelity 0.2 below 1/d"):
             closedform.chi_sigma(0.2, 3)
 
 
@@ -81,12 +73,12 @@ class TestZetaIsotropic:
             assert np.diff(vals).min() > -1e-10
 
     def test_rejects_bad_exponent(self):
-        with pytest.raises(BadExponent):
+        with pytest.raises(CtqError, match="need q >= 2, got 1.5"):
             zeta(0.8, 1.5, 2)
 
     def test_rejects_bad_dimension(self):
         for curve in (zeta, closedform.ctq_isotropic):
-            with pytest.raises(BadDimension):
+            with pytest.raises(CtqError, match="d must be >= 2"):
                 curve(0.5, 3, 1)
 
 
@@ -152,7 +144,7 @@ class TestConvexEnvelope:
         assert np.allclose(again.values, curve.values, atol=1e-12)
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(CtqError, match="need at least 3 grid points, got 2"):
             closedform.convex_envelope([0.0, 1.0], [0.0, 1.0])
 
     def test_isotropic_d3_q3_true_tangency(self):
@@ -240,7 +232,7 @@ class TestOracle:
         assert 0.0 <= val < 5e-3
 
     def test_infeasible(self):
-        with pytest.raises(InfeasibleConstraint):
+        with pytest.raises(CtqError, match="need 1/d < F <= 1, got F=0.2"):
             closedform.oracle_min_schmidt(0.2, 3, 3)
 
     def test_two_level_derivative_signs(self, rng):
@@ -353,7 +345,7 @@ class TestEofWerner:
         assert closedform.eof_werner(0.55) > closedform.zeta_werner(0.55, 8)
 
     def test_rejects_bad_parameter(self):
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(CtqError, match="mixing parameter 1.1 outside"):
             closedform.eof_werner(1.1)
 
 
@@ -402,12 +394,35 @@ class TestArrayInput:
         assert isinstance(values, np.ndarray) and values.shape == self.X.shape
         np.testing.assert_array_equal(values, scalars)
 
+    # both sides of the quadrants, and angles small enough that cos^2 rounds to 1
+    THETA = np.concatenate([np.linspace(-1.0, 7.0, 1001), [0.0, 1e-8, np.pi / 4, np.pi / 2]])
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda t: monogamy.chain_ctq(t, 2.5),
+            lambda t: monogamy.chain_ctq(t, 4),
+            monogamy.chain_concurrence,
+            lambda t: (monogamy.residual_tau(t, 3.7, 1.3),),
+            lambda t: (monogamy.residual_tau(t, 2, 2, which="concurrence"),),
+        ],
+        ids=["chain_ctq-q2.5", "chain_ctq-q4", "chain_concurrence",
+             "residual_tau-q3.7-gamma1.3", "residual_tau-concurrence-gamma2"],
+    )
+    def test_chain_array_equals_scalar_calls(self, kernel):
+        scalars = [kernel(float(t)) for t in self.THETA]
+        assert all(type(v) is float for row in scalars for v in row)
+        columns = kernel(self.THETA)
+        for i, column in enumerate(columns):
+            assert isinstance(column, np.ndarray) and column.shape == self.THETA.shape
+            np.testing.assert_array_equal(column, [row[i] for row in scalars])
+
     def test_range_checked_element_wise(self):
-        with pytest.raises(FidelityOutOfRange):
+        with pytest.raises(CtqError, match=r"fidelity \[0.5 1.1\] outside"):
             closedform.zeta_isotropic(np.array([0.5, 1.1]), 3, 2)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(CtqError, match=r"mixing parameter \[-0.1 +0.7\] outside"):
             closedform.ctq_werner(np.array([-0.1, 0.7]), 3)
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(CtqError, match=r"mixing parameter \[0.7 1.1\] outside"):
             closedform.eof_werner(np.array([0.7, 1.1]))
 
 

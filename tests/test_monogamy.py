@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctq import measures, monogamy, qlinalg, states
-from ctq.exceptions import BadExponent, NotAllQubits
+from ctq.exceptions import CtqError
 
 from conftest import haar_pure
 
@@ -100,9 +100,9 @@ class TestMonogamyCheck:
 
     def test_errors(self):
         qutrit = states.MultipartiteState((3, 2, 2), np.eye(12, dtype=complex)[0])
-        with pytest.raises(NotAllQubits):
+        with pytest.raises(CtqError, match="all local dimensions must be 2"):
             monogamy.monogamy_check(qutrit, 2)
-        with pytest.raises(BadExponent):
+        with pytest.raises(CtqError, match="gamma must be positive, got 0.0"):
             monogamy.monogamy_check(ghz3(), 2, gamma=0.0)
 
 
@@ -188,9 +188,9 @@ class TestResidualTau:
         assert np.abs(np.diff(taus)).max() < 0.05
 
     def test_errors(self):
-        with pytest.raises(BadExponent):
+        with pytest.raises(CtqError, match="gamma must be positive, got 0.0"):
             monogamy.residual_tau(0.3, 3, 0.0)
-        with pytest.raises(BadExponent):
+        with pytest.raises(CtqError, match="which must be 'ctq' or 'concurrence', got 'nope'"):
             monogamy.residual_tau(0.3, 3, 1.0, which="nope")
 
 

@@ -10,7 +10,6 @@ from .bounds import BoundReport, corollary1_bound, lower_bound_thm2, s_threshold
 from .closedform import (
     CaseChord,
     ChiSigma,
-    ConvexCurve,
     chi_sigma,
     convex_envelope,
     ctq_isotropic,
@@ -22,13 +21,9 @@ from .closedform import (
 )
 from .exceptions import CtqError
 from .measures import (
-    Family,
-    MeasureParams,
-    MeasureValue,
     classical_total_c2,
     concurrence_pure,
     ct_alpha_pure,
-    ctq_from_concurrence,
     ctq_pure,
     ctq_two_qubit_mixed,
     h_q,
@@ -41,24 +36,22 @@ from .monogamy import (
     MonogamyReport,
     chain_concurrence,
     chain_ctq,
+    chain_residual,
     example2_K,
     gen_schmidt_concurrences,
     monogamy_check,
-    residual_tau,
 )
 from .qlinalg import (
     hermitian_spectrum,
     partial_trace,
     partial_transpose,
     realign,
-    realign_inverse,
     trace_norm,
 )
 from .states import (
     DensityMatrix,
     MultipartiteState,
     PureState,
-    SchmidtSpectrum,
     chain_state,
     gen_schmidt_3qubit,
     isotropic,

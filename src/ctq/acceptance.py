@@ -138,7 +138,7 @@ def c07_trace_norm_identity():
             a /= np.linalg.norm(a)
             psi = states.PureState(dims, a)
             rho = psi.density()
-            lam = states.schmidt_spectrum(psi).values
+            lam = states.schmidt_spectrum(psi)
             ref = np.sum(np.sqrt(lam)) ** 2
             tp = qlinalg.trace_norm(qlinalg.partial_transpose(rho, dims))
             tr = qlinalg.trace_norm(qlinalg.realign(rho, dims))
@@ -229,7 +229,7 @@ def c11_chain_identities():
         theta = rng.uniform(0, 2 * np.pi)
         q = 2.0 + 3.0 * rng.random()
         closed = monogamy.chain_ctq(theta, q)[0]
-        direct = measures.ctq_pure(states.chain_state(theta).split_first(), q).value
+        direct = measures.ctq_pure(states.chain_state(theta).split_first(), q)
         worst = max(worst, abs(closed - direct))
     ac_dev = max(
         abs(monogamy.chain_ctq(th, qq)[2] - 1.0)

@@ -16,18 +16,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import acceptance, bounds, closedform, measures, monogamy, states
 from .exceptions import CtqError, ExponentOutsideTheoremRange, UnequalLocalDims, check_range
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict = field(default_factory=dict)
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -57,26 +50,28 @@ def _emit(payload, fmt: str, out: str | None) -> None:
         _write_atomic(out, buf.getvalue())
 
 
-def _frange(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(1, int(round((hi - lo) / step)))
-    return np.linspace(lo, hi, n + 1)
+def _grid(args: argparse.Namespace) -> np.ndarray:
+    """The points --from, --from + --step, ..., --to, once the three are checked."""
+    check_range(args.step, "grid step {} outside [1e-6, 1e-1]", 1e-6, 1e-1, slack=0.0)
+    check_range(args.lo, "--from must be finite, got {}")
+    check_range(args.hi, f"need a finite --to >= --from = {args.lo}, got {{}}", args.lo, slack=0.0)
+    n = max(1, int(round((args.hi - args.lo) / args.step)))
+    return np.linspace(args.lo, args.hi, n + 1)
 
 
-def _emit_rows(rows: list[list[str]], params: dict) -> None:
-    if params.get("format") == "json":
+def _emit_rows(rows: list[list[str]], args: argparse.Namespace) -> None:
+    if args.format == "json":
         header, body = rows[0], rows[1:]
         payload = [dict(zip(header, row)) for row in body]
-        _emit(payload, "json", params.get("out"))
+        _emit(payload, "json", args.out)
     else:
-        _emit(rows, "csv", params.get("out"))
+        _emit(rows, "csv", args.out)
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    p = cfg.params
-    state = states.load_state(p["state"])
-    q = p["q"]
-    alpha = p["alpha"]
-    report: dict = {"file": p["state"], "q": q, "alpha": alpha}
+def cmd_measure(args: argparse.Namespace) -> int:
+    state = states.load_state(args.state)
+    q = args.q
+    report: dict = {"file": args.state, "q": q, "alpha": args.alpha}
     if isinstance(state, states.MultipartiteState):
         raise CtqError(
             "measure handles bipartite states; use the monogamy command for multipartite input"
@@ -84,16 +79,15 @@ def cmd_measure(cfg: RunConfig) -> int:
     if isinstance(state, states.PureState):
         lam = states.schmidt_spectrum(state)
         d = min(state.dims)
-        mv = measures.ctq_pure(state, q)
         report.update(
             {
                 "kind": "pure",
                 "dims": list(state.dims),
-                "schmidt_spectrum": lam.values.tolist(),
+                "schmidt_spectrum": lam.tolist(),
                 "q_concurrence": measures.q_concurrence_pure(lam, q),
                 "total_concurrence_raw": measures.total_concurrence_pure(lam, q, d),
-                "ctq_normalized": mv.value,
-                "ct_alpha": measures.ct_alpha_pure(state, alpha),
+                "ctq_normalized": measures.ctq_pure(state, q),
+                "ct_alpha": measures.ct_alpha_pure(state, args.alpha),
                 "concurrence": measures.concurrence_pure(state),
             }
         )
@@ -103,12 +97,12 @@ def cmd_measure(cfg: RunConfig) -> int:
         family = _detect_family(state)
         if state.dims == (2, 2) and 2.0 - 1e-12 <= q <= 4.0 + 1e-12:
             c = measures.wootters_concurrence_2qubit(state)
-            mv = measures.ctq_two_qubit_mixed(state, q)
+            value = measures.ctq_two_qubit_mixed(state, q)
             report.update(
                 {
                     "wootters_concurrence": c,
-                    "ctq_normalized": mv.value,
-                    "ctq_raw": mv.value * measures.normalization_mu(2, q),
+                    "ctq_normalized": value,
+                    "ctq_raw": value * measures.normalization_mu(2, q),
                 }
             )
             if family is not None:
@@ -133,7 +127,7 @@ def cmd_measure(cfg: RunConfig) -> int:
                 rep = bounds.lower_bound_thm2(state, q)
             except (ExponentOutsideTheoremRange, UnequalLocalDims) as exc:
                 report.update({"lower_bound_only": True, "error": str(exc)})
-                _emit(report, "json", p.get("out"))
+                _emit(report, "json", args.out)
                 return 2
             report.update(
                 {
@@ -145,7 +139,7 @@ def cmd_measure(cfg: RunConfig) -> int:
                     "entangled_by_realignment": rep.entangled_by_realignment,
                 }
             )
-    _emit(report, "json", p.get("out"))
+    _emit(report, "json", args.out)
     return 0
 
 
@@ -169,15 +163,14 @@ def _detect_family(rho: states.DensityMatrix) -> tuple[str, float] | None:
     return None
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    p = cfg.params
-    state = states.load_state(p["state"])
+def cmd_bound(args: argparse.Namespace) -> int:
+    state = states.load_state(args.state)
     if isinstance(state, (states.PureState, states.MultipartiteState)):
         state = states.DensityMatrix(state.dims, state.density())
-    rep = bounds.lower_bound_thm2(state, p["q"])
+    rep = bounds.lower_bound_thm2(state, args.q)
     _emit(
         {
-            "file": p["state"],
+            "file": args.state,
             "q": rep.q,
             "d": rep.d,
             "ppt_norm": rep.ppt_norm,
@@ -187,7 +180,7 @@ def cmd_bound(cfg: RunConfig) -> int:
             "entangled_by_realignment": rep.entangled_by_realignment,
         },
         "json",
-        p.get("out"),
+        args.out,
     )
     return 0
 
@@ -200,64 +193,60 @@ def _bound_column(N: np.ndarray, q: float, d: int, scale: float) -> list[str]:
         return [""] * N.size
 
 
-def cmd_curve_isotropic(cfg: RunConfig) -> int:
+def cmd_curve_isotropic(args: argparse.Namespace) -> int:
     """Both trace norms of the isotropic state are max(1, d F)."""
-    p = cfg.params
-    d, q = p["d"], p["q"]
-    grid = _frange(p["from"], p["to"], p["step"])
-    scale = measures.normalization_mu(d, q) if p["raw_units"] else 1.0
-    raw = closedform.zeta_isotropic(grid, q, d, normalized=not p["raw_units"])
+    grid = _grid(args)
+    d, q = args.d, args.q
+    scale = measures.normalization_mu(d, q) if args.raw else 1.0
+    raw = closedform.zeta_isotropic(grid, q, d, normalized=not args.raw)
     env = closedform.ctq_isotropic(grid, q, d) * scale
     bound = _bound_column(np.maximum(1.0, d * grid), q, d, scale)
     rows = [["F", "raw", "envelope", "lower_bound"]]
     for F, r, e, b in zip(grid, raw, env, bound):
         rows.append([f"{F:.10g}", f"{r:.12g}", f"{e:.12g}", b])
-    _emit_rows(rows, p)
+    _emit_rows(rows, args)
     return 0
 
 
-def cmd_curve_werner(cfg: RunConfig) -> int:
+def cmd_curve_werner(args: argparse.Namespace) -> int:
     """The envelope column is the measure at each w, whatever the range.  The
     d = 2 Werner state is locally equivalent to the isotropic state with F = w,
     so both its trace norms are max(1, 2 w)."""
-    p = cfg.params
-    q = p["q"]
-    grid = _frange(p["from"], p["to"], p["step"])
-    scale = measures.normalization_mu(2, q) if p["raw_units"] else 1.0
-    raw = closedform.zeta_werner(grid, q, normalized=not p["raw_units"])
+    grid = _grid(args)
+    q = args.q
+    scale = measures.normalization_mu(2, q) if args.raw else 1.0
+    raw = closedform.zeta_werner(grid, q, normalized=not args.raw)
     env = closedform.ctq_werner(grid, q) * scale
     bound = _bound_column(np.maximum(1.0, 2.0 * grid), q, 2, scale)
     eof = closedform.eof_werner(grid)
     rows = [["w", "raw", "envelope", "lower_bound", "eof"]]
     for w, r, e, b, f in zip(grid, raw, env, bound, eof):
         rows.append([f"{w:.10g}", f"{r:.12g}", f"{e:.12g}", b, f"{f:.12g}"])
-    _emit_rows(rows, p)
+    _emit_rows(rows, args)
     return 0
 
 
-def cmd_chain(cfg: RunConfig) -> int:
-    p = cfg.params
-    grid = _frange(p["from"], p["to"], p["step"])
-    triple = monogamy.chain_ctq(grid, p["q"])
-    measure = triple if p["which"] == "ctq" else monogamy.chain_concurrence(grid)
-    tau = monogamy.chain_residual(measure, p["gamma"])
-    gamma = f"{p['gamma']:.10g}"
+def cmd_chain(args: argparse.Namespace) -> int:
+    grid = _grid(args)
+    triple = monogamy.chain_ctq(grid, args.q)
+    measure = triple if args.which == "ctq" else monogamy.chain_concurrence(grid)
+    tau = monogamy.chain_residual(measure, args.gamma)
+    gamma = f"{args.gamma:.10g}"
     rows = [["theta", "gamma", "ctq_a_bc", "ctq_ab", "ctq_ac", "tau"]]
     for theta, a_bc, ab, ac, t in zip(grid, *triple, tau):
         rows.append([f"{theta:.10g}", gamma] + [f"{v:.12g}" for v in (a_bc, ab, ac, t)])
-    _emit_rows(rows, p)
+    _emit_rows(rows, args)
     return 0
 
 
-def cmd_monogamy(cfg: RunConfig) -> int:
-    p = cfg.params
-    state = states.load_state(p["state"])
+def cmd_monogamy(args: argparse.Namespace) -> int:
+    state = states.load_state(args.state)
     if not isinstance(state, states.MultipartiteState):
         raise CtqError("monogamy requires a state with at least three parties")
-    rep = monogamy.monogamy_check(state, p["q"], p["gamma"])
+    rep = monogamy.monogamy_check(state, args.q, args.gamma)
     _emit(
         {
-            "file": p["state"],
+            "file": args.state,
             "q": rep.q,
             "gamma": rep.gamma,
             "lhs": rep.lhs,
@@ -266,18 +255,16 @@ def cmd_monogamy(cfg: RunConfig) -> int:
             "guaranteed": rep.guaranteed,
         },
         "json",
-        p.get("out"),
+        args.out,
     )
     return 0
 
 
-def cmd_accept(cfg: RunConfig) -> int:
-    p = cfg.params
-    only = p.get("only")
+def cmd_accept(args: argparse.Namespace) -> int:
     results = acceptance.run_acceptance(
-        mu_perturbation=p.get("perturb_mu", 0.0),
+        mu_perturbation=args.perturb_mu,
         echo=lambda line: print(line),
-        only=None if only is None else set(only.split(",")),
+        only=None if args.only is None else set(args.only.split(",")),
     )
     summary = {
         "passed": acceptance.all_passed(results),
@@ -285,8 +272,8 @@ def cmd_accept(cfg: RunConfig) -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
     }
-    if p.get("out"):
-        _write_atomic(p["out"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    if args.out:
+        _write_atomic(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"acceptance: {'all passed' if summary['passed'] else 'FAILURES PRESENT'}")
     return 0 if summary["passed"] else 1
 
@@ -298,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, rows=False):
+    def add_common(sp, run, rows=False):
+        sp.set_defaults(run=run)
         sp.add_argument("--q", type=float, default=2.0, help="measure exponent (q >= 2)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if rows:
@@ -306,26 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", help="evaluate measures of a state file")
     sp.add_argument("state")
-    add_common(sp)
+    add_common(sp, cmd_measure)
     sp.add_argument("--alpha", type=float, default=0.5, help="dual-family exponent in [0, 1/2]")
 
     sp = sub.add_parser("bound", help="trace-norm lower bound for a state file")
     sp.add_argument("state")
-    add_common(sp)
+    add_common(sp, cmd_bound)
 
-    for family in ("isotropic", "werner"):
+    for family, run in (("isotropic", cmd_curve_isotropic), ("werner", cmd_curve_werner)):
         sp = sub.add_parser(family, help=f"emit the {family} curve as CSV")
-        add_common(sp, rows=True)
+        add_common(sp, run, rows=True)
         if family == "isotropic":
             sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--from", dest="lo", type=float, default=0.0)
         sp.add_argument("--to", dest="hi", type=float, default=1.0)
         sp.add_argument("--step", type=float, default=1e-3)
-        sp.add_argument("--normalized", dest="raw_units", action="store_false", default=False)
-        sp.add_argument("--raw", dest="raw_units", action="store_true")
+        sp.add_argument("--raw", action="store_true")
 
     sp = sub.add_parser("chain", help="chain-state measure triple and residual sweep")
-    add_common(sp, rows=True)
+    add_common(sp, cmd_chain, rows=True)
     sp.add_argument("--from", dest="lo", type=float, default=0.0)
     sp.add_argument("--to", dest="hi", type=float, default=float(np.pi / 2))
     sp.add_argument("--step", type=float, default=0.01)
@@ -334,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("monogamy", help="monogamy residual of a multipartite qubit state")
     sp.add_argument("state")
-    add_common(sp)
+    add_common(sp, cmd_monogamy)
     sp.add_argument("--gamma", type=float, default=1.0)
 
     sp = sub.add_parser("accept", help="run the acceptance suite")
+    sp.set_defaults(run=cmd_accept)
     sp.add_argument("--out", default=None, help="write the JSON summary here")
     sp.add_argument("--perturb-mu", dest="perturb_mu", type=float, default=0.0,
                     help="mutation hook: scale the normalization constant by (1 + x)")
@@ -346,36 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    params = dict(vars(args))
-    command = params.pop("command")
-    if "lo" in params:
-        params["from"] = params.pop("lo")
-        params["to"] = params.pop("hi")
-    step = params.get("step")
-    if step is not None:
-        check_range(step, "grid step {} outside [1e-6, 1e-1]", 1e-6, 1e-1, slack=0.0)
-    if "from" in params:
-        lo = params["from"]
-        check_range(lo, "--from must be finite, got {}")
-        check_range(params["to"], f"need a finite --to >= --from = {lo}, got {{}}", lo, slack=0.0)
-    return RunConfig(command=command, params=params)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "measure": cmd_measure,
-        "bound": cmd_bound,
-        "isotropic": cmd_curve_isotropic,
-        "werner": cmd_curve_werner,
-        "chain": cmd_chain,
-        "monogamy": cmd_monogamy,
-        "accept": cmd_accept,
-    }
     try:
-        cfg = _config_from_args(args)
-        return handlers[cfg.command](cfg)
+        return args.run(args)
     except CtqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

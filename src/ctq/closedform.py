@@ -18,7 +18,7 @@ Two curve constructions live here and differ on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -27,7 +27,6 @@ import numpy as np
 from .exceptions import CtqError, check_range
 from .measures import normalization_mu
 
-BREAKPOINT_TOL = 1e-9
 # resolution of the sampled curves whose hulls give the isotropic and Werner
 # envelopes; values on stretches where the envelope follows the curve are exact
 ENVELOPE_STEP = 1e-4
@@ -121,29 +120,6 @@ def zeta_werner(w, q: float, normalized: bool = True):
     return _vanish_at_or_below(val, w, 0.5)
 
 
-@dataclass(frozen=True)
-class ConvexCurve:
-    """Piecewise-linear convex lower envelope of a sampled curve on [0, 1]."""
-
-    grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    breakpoints: tuple[int, ...]
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.shape != v.shape or g.ndim != 1:
-            raise CtqError("grid and values must be matching vectors")
-        for a in (g, v):
-            a.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def evaluate(self, x) -> np.ndarray | float:
-        y = np.interp(x, self.grid, self.values)
-        return float(y) if np.isscalar(x) else y
-
-
 def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
     """Monotone-chain lower convex hull of points sorted by x."""
     idx: list[int] = []
@@ -159,12 +135,9 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
     return idx
 
 
-def convex_envelope(grid, values) -> ConvexCurve:
-    """Greatest convex minorant of a sampled curve.
-
-    Breakpoints mark, for every chord stretch, the last grid index at which
-    the envelope still agrees with the raw curve within 1e-9.
-    """
+def convex_envelope(grid, values) -> np.ndarray:
+    """Greatest convex minorant of a curve sampled on an ascending grid, at
+    the grid points."""
     g = np.asarray(grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if g.ndim != 1 or g.shape != v.shape:
@@ -173,19 +146,8 @@ def convex_envelope(grid, values) -> ConvexCurve:
         raise CtqError(f"need at least 3 grid points, got {g.size}")
     if np.any(np.diff(g) <= 0):
         raise CtqError("grid must be strictly ascending")
-
     hull = _lower_hull_indices(g, v)
-    env = np.interp(g, g[hull], v[hull])
-    breakpoints = []
-    for a, b in zip(hull[:-1], hull[1:]):
-        # a chord stretch: spans more than one grid step and actually departs
-        # from the raw curve (collinear runs of the raw data do not count)
-        if b - a > 1 and np.max(np.abs(env[a : b + 1] - v[a : b + 1])) > BREAKPOINT_TOL:
-            i = a
-            while i + 1 < b and abs(env[i + 1] - v[i + 1]) <= BREAKPOINT_TOL:
-                i += 1
-            breakpoints.append(i)
-    return ConvexCurve(g, env, tuple(breakpoints))
+    return np.interp(g, g[hull], v[hull])
 
 
 def _hull(values: np.ndarray):

@@ -14,46 +14,13 @@ exponent alpha in [0, 1/2] uses the reversed-sign construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from . import qlinalg
 from .exceptions import CtqError, ExponentOutsideTheoremRange, check_range
-from .states import DensityMatrix, PureState, SchmidtSpectrum, schmidt_spectrum
+from .states import DensityMatrix, PureState, schmidt_spectrum
 
 _NEED_Q = "exponent q must be >= 2, got {}"
-_CLOSED_FORM_Q = "closed form requires 2 <= q <= 4, got {}"
-
-
-class Family(Enum):
-    Q = "q"
-    ALPHA = "alpha"
-
-
-@dataclass(frozen=True)
-class MeasureParams:
-    family: Family
-    exponent: float
-    normalized: bool = True
-
-    def __post_init__(self):
-        if self.family is Family.Q:
-            check_range(self.exponent, "family Q requires exponent >= 2, got {}", 2.0)
-        else:
-            check_range(self.exponent, "family ALPHA requires exponent in [0, 1/2], got {}", 0.0, 0.5)
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    value: float
-    params: MeasureParams
-    effective_dim: int
-
-    def __post_init__(self):
-        hi = 1.0 if self.params.normalized else normalization_mu(self.effective_dim, self.params.exponent)
-        check_range(self.value, f"measure value {{}} outside [0, {hi}]", 0.0, hi, slack=1e-10)
 
 
 def normalization_mu(d: int, q: float) -> float:
@@ -65,11 +32,10 @@ def normalization_mu(d: int, q: float) -> float:
 
 
 def _spectrum_values(lam) -> np.ndarray:
-    if isinstance(lam, SchmidtSpectrum):
-        return lam.values
     v = np.asarray(lam, dtype=float)
-    if v.ndim != 1 or v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
-        raise CtqError("expected a probability spectrum")
+    if (v.ndim != 1 or v.size == 0 or not np.isfinite(v).all()
+            or v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9):
+        raise CtqError("expected a probability vector")
     return np.clip(v, 0.0, 1.0)
 
 
@@ -100,7 +66,7 @@ def total_concurrence_pure(lam, q: float, d: int | None = None) -> float:
     return _clamp(float(d - np.sum(v**q) - np.sum((1.0 - v) ** q)))
 
 
-def ctq_pure(psi: PureState, q: float) -> MeasureValue:
+def ctq_pure(psi: PureState, q: float) -> float:
     """Normalized total concurrence of a bipartite pure state.
 
     The effective dimension is min(dA, dB): the Schmidt spectrum has at most
@@ -111,8 +77,7 @@ def ctq_pure(psi: PureState, q: float) -> MeasureValue:
     lam = schmidt_spectrum(psi)
     d = min(psi.dims)
     raw = total_concurrence_pure(lam, q, d)
-    val = min(raw / normalization_mu(d, q), 1.0 + 1e-12)
-    return MeasureValue(_clamp(val), MeasureParams(Family.Q, q, normalized=True), d)
+    return _clamp(min(raw / normalization_mu(d, q), 1.0 + 1e-12))
 
 
 def ct_alpha_pure(psi: PureState, alpha: float) -> float:
@@ -125,7 +90,7 @@ def ct_alpha_pure(psi: PureState, alpha: float) -> float:
     """
     check_range(alpha, "alpha must lie in [0, 1/2], got {}", 0.0, 0.5)
     alpha = min(max(alpha, 0.0), 0.5)
-    lam = schmidt_spectrum(psi).values
+    lam = schmidt_spectrum(psi)
     d = min(psi.dims)
     if lam.size < d:
         lam = np.concatenate([lam, np.zeros(d - lam.size)])
@@ -139,10 +104,7 @@ def ct_alpha_pure(psi: PureState, alpha: float) -> float:
 
 def classical_total_c2(p) -> float:
     """Total 2-concurrence of a probability vector: 2 * sum_i p_i (1 - p_i)."""
-    v = np.asarray(p, dtype=float)
-    if v.ndim != 1 or v.min() < -1e-12 or abs(v.sum() - 1.0) > 1e-9:
-        raise CtqError("expected a probability vector")
-    v = np.clip(v, 0.0, 1.0)
+    v = _spectrum_values(p)
     return float(2.0 * np.sum(v * (1.0 - v)))
 
 
@@ -162,7 +124,7 @@ def h_q(x: float, q: float) -> float:
 
 def concurrence_pure(psi: PureState) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state."""
-    lam = schmidt_spectrum(psi).values
+    lam = schmidt_spectrum(psi)
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.sum(lam**2)))))
 
 
@@ -194,22 +156,12 @@ def wootters_concurrence_2qubit(rho: DensityMatrix | np.ndarray) -> float:
     return max(0.0, float(r[0] - r[1] - r[2] - r[3]))
 
 
-def ctq_two_qubit_mixed(rho: DensityMatrix, q: float) -> MeasureValue:
+def ctq_two_qubit_mixed(rho: DensityMatrix, q: float) -> float:
     """Normalized measure of a two-qubit mixed state via its concurrence.
 
     Valid for 2 <= q <= 4, where the map h_q is monotone and convex so the
     convex roof collapses onto h_q of the spin-flip concurrence.
     """
-    check_range(q, _CLOSED_FORM_Q, 2.0, 4.0, error=ExponentOutsideTheoremRange)
-    c = wootters_concurrence_2qubit(rho)
-    return MeasureValue(h_q(c, q), MeasureParams(Family.Q, q, normalized=True), 2)
-
-
-def ctq_from_concurrence(c: float, q: float) -> float:
-    """Qubit-qudit mixed-state value from a caller-supplied concurrence.
-
-    No closed form exists for the concurrence itself beyond two qubits, so
-    the caller provides it and this applies the same h_q map.
-    """
-    check_range(q, _CLOSED_FORM_Q, 2.0, 4.0, error=ExponentOutsideTheoremRange)
-    return h_q(c, q)
+    check_range(q, "closed form requires 2 <= q <= 4, got {}", 2.0, 4.0,
+                error=ExponentOutsideTheoremRange)
+    return h_q(wootters_concurrence_2qubit(rho), q)

@@ -18,6 +18,7 @@ from .measures import h_q, normalization_mu, wootters_concurrence_2qubit
 from .states import MultipartiteState
 
 _GAMMA = "gamma must be positive, got {}"
+_THETA = "theta must be finite, got {}"
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ def monogamy_check(psi: MultipartiteState, q: float, gamma: float = 1.0) -> Mono
     if any(d != 2 for d in psi.dims):
         raise CtqError(f"all local dimensions must be 2, got {psi.dims}")
     check_range(gamma, _GAMMA, 0.0, open_lo=True)
-    check_range(q, "need q > 1, got {}", 1.0, open_lo=True)
+    check_range(q, "need q >= 2, got {}", 2.0)
     k = len(psi.dims)
     rho_a = psi.marginal([0])
     purity = float(np.trace(rho_a @ rho_a).real)
@@ -72,7 +73,7 @@ def gen_schmidt_concurrences(nu) -> tuple[float, float, float]:
     the (first, second) one; every symmetric combination of the pairwise
     entries (such as the monogamy sum) is unaffected by that attachment.
     """
-    nu = np.asarray(nu, dtype=float)
+    nu = check_range(nu, "coefficients must be finite, got {}")
     if nu.shape != (5,):
         raise CtqError("expected 5 coefficients")
     if abs(float(np.sum(nu**2)) - 1.0) > 1e-6:
@@ -112,7 +113,7 @@ def chain_ctq(theta, q: float):
     theta may be a scalar (floats) or an array (arrays of its shape).
     """
     check_range(q, "need q >= 2, got {}", 2.0)
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(check_range(theta, _THETA))
     a2, b2 = np.square(np.cos(theta)), np.square(np.sin(theta))
     # np.power, not **, so that a scalar theta gives the bits of an array
     a2q, b2q = np.power(a2, q), np.power(b2, q)
@@ -126,7 +127,7 @@ def chain_concurrence(theta):
 
     theta may be a scalar (floats) or an array (arrays of its shape).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(check_range(theta, _THETA))
     a4, b4 = np.power(np.cos(theta), 4), np.power(np.sin(theta), 4)
     c_cut = np.sqrt(np.maximum(0.0, 2.0 - b4 - a4))
     c_ab = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * b4 - 2.0 * a4))
@@ -140,21 +141,3 @@ def chain_residual(triple, gamma: float):
     lhs, t1, t2 = triple
     tau = np.power(lhs, gamma) - np.power(t1, gamma) - np.power(t2, gamma)
     return float(tau) if np.ndim(tau) == 0 else tau
-
-
-def residual_tau(theta, q: float, gamma: float, which: str = "ctq"):
-    """Residual lhs**gamma - t1**gamma - t2**gamma for the chain family.
-
-    ``which`` selects the measure: "ctq" uses the closed-form normalized
-    triple, "concurrence" the concurrence triple.  No sign guarantee is
-    made; the surface changes sign with (theta, q, gamma).  theta may be a
-    scalar (float result) or an array (array result).
-    """
-    key = which.lower()
-    if key == "ctq":
-        triple = chain_ctq(theta, q)
-    elif key == "concurrence":
-        triple = chain_concurrence(theta)
-    else:
-        raise CtqError(f"which must be 'ctq' or 'concurrence', got {which!r}")
-    return chain_residual(triple, gamma)

@@ -106,16 +106,6 @@ def realign(rho, dims: Sequence[int]) -> np.ndarray:
     return T.transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
 
 
-def realign_inverse(R, dims: Sequence[int]) -> np.ndarray:
-    """Invert :func:`realign`: reconstruct rho from its realignment."""
-    A = as_matrix(R)
-    dA, dB = int(dims[0]), int(dims[1])
-    if A.shape != (dA * dA, dB * dB):
-        raise CtqError(f"realigned shape {A.shape} != ({dA*dA}, {dB*dB})")
-    T = A.reshape(dA, dA, dB, dB)
-    return T.transpose(0, 2, 1, 3).reshape(dA * dB, dA * dB)
-
-
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 

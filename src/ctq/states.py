@@ -34,6 +34,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_amps(amps: np.ndarray, dims: tuple[int, ...], what: str) -> np.ndarray:
+    """``amps`` made read-only, once checked to be finite, unit-norm and of the
+    length the signature asks for."""
+    if amps.shape != (int(np.prod(dims)),):
+        raise CtqError("amplitude length does not match signature")
+    if not np.isfinite(amps).all():
+        raise CtqError(f"{what} amplitudes must be finite")
+    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        raise CtqError(f"{what} amplitudes not normalized")
+    return _frozen(amps)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Bipartite pure state: amplitudes of length dims[0] * dims[1]."""
@@ -44,11 +56,7 @@ class PureState:
     def __post_init__(self):
         if len(self.dims) != 2:
             raise CtqError(f"PureState needs a bipartite signature, got {self.dims}")
-        if self.amps.shape != (self.dims[0] * self.dims[1],):
-            raise CtqError("amplitude length does not match signature")
-        if abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise CtqError("pure state amplitudes not normalized")
-        object.__setattr__(self, "amps", _frozen(self.amps))
+        object.__setattr__(self, "amps", _checked_amps(self.amps, self.dims, "pure state"))
 
     def density(self) -> np.ndarray:
         return np.outer(self.amps, self.amps.conj())
@@ -67,11 +75,7 @@ class MultipartiteState:
     def __post_init__(self):
         if len(self.dims) < 3:
             raise CtqError(f"MultipartiteState needs >= 3 parts, got {self.dims}")
-        if self.amps.shape != (int(np.prod(self.dims)),):
-            raise CtqError("amplitude length does not match signature")
-        if abs(np.linalg.norm(self.amps) - 1.0) > NORM_TOL:
-            raise CtqError("state amplitudes not normalized")
-        object.__setattr__(self, "amps", _frozen(self.amps))
+        object.__setattr__(self, "amps", _checked_amps(self.amps, self.dims, "state"))
 
     def density(self) -> np.ndarray:
         return np.outer(self.amps, self.amps.conj())
@@ -106,6 +110,8 @@ class DensityMatrix:
         n = int(np.prod(self.dims))
         if self.mat.shape != (n, n):
             raise CtqError(f"matrix shape {self.mat.shape} != ({n}, {n})")
+        if not np.isfinite(self.mat).all():
+            raise CtqError("density matrix has non-finite entries")
         if np.max(np.abs(self.mat - self.mat.conj().T)) > qlinalg.HERMITICITY_TOL:
             raise CtqError("density matrix not Hermitian within tolerance")
         w = np.linalg.eigvalsh(qlinalg.hermitianize(self.mat))
@@ -114,26 +120,6 @@ class DensityMatrix:
         if abs(np.trace(self.mat).real - 1.0) > NORM_TOL:
             raise CtqError("density matrix trace differs from 1")
         object.__setattr__(self, "mat", _frozen(self.mat))
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Descending squared Schmidt coefficients summing to one."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise CtqError("spectrum must be a nonempty vector")
-        if np.any(np.diff(v) > 1e-12) or v.min() < -1e-12:
-            raise CtqError("spectrum must be nonnegative and descending")
-        if abs(v.sum() - 1.0) > NORM_TOL:
-            raise CtqError("spectrum must sum to 1")
-        object.__setattr__(self, "values", _frozen(np.clip(v, 0.0, 1.0)))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def pure_from_amplitudes(amps, dims: Sequence[int]) -> PureState | MultipartiteState:
@@ -147,22 +133,24 @@ def pure_from_amplitudes(amps, dims: Sequence[int]) -> PureState | MultipartiteS
         raise CtqError("amplitude vector has zero norm")
     if abs(norm - 1.0) > INPUT_SLACK * (1.0 + 1e-9):
         raise CtqError(f"norm {norm:.8f} deviates from 1 by more than {INPUT_SLACK}")
+    if not np.isfinite(norm):  # a NaN entry passes the comparisons above
+        raise CtqError("amplitudes must be finite")
     a = a / norm
     if len(dims) == 2:
         return PureState(dims, a)
     return MultipartiteState(dims, a)
 
 
-def schmidt_spectrum(psi: PureState) -> SchmidtSpectrum:
-    """Squared singular values of the dA x dB amplitude matrix, descending."""
+def schmidt_spectrum(psi: PureState) -> np.ndarray:
+    """Squared singular values of the dA x dB amplitude matrix: a read-only
+    array, descending and summing to one."""
     s = np.linalg.svd(psi.amplitude_matrix(), compute_uv=False)
     lam = s * s
     lam[np.abs(lam) < qlinalg.EIGENVALUE_CLIP] = 0.0
     lam = np.clip(lam, 0.0, 1.0)
     lam = np.sort(lam)[::-1]
     # exact renormalization guards against accumulated SVD round-off
-    lam = lam / lam.sum()
-    return SchmidtSpectrum(lam)
+    return _frozen(lam / lam.sum())
 
 
 def max_entangled(d: int) -> PureState:
@@ -266,13 +254,6 @@ def random_density(dims: Sequence[int], rank: int, seed: int) -> DensityMatrix:
     rho = G @ G.conj().T
     rho /= np.trace(rho).real
     return DensityMatrix(dims, qlinalg.hermitianize(rho))
-
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(Z)
-    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
 # -- state file format: {"dims": [...], "kind": "pure"|"density", "re": [...], "im": [...]}

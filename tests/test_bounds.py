@@ -8,7 +8,7 @@ from conftest import haar_pure
 
 
 def spectrum_of(psi):
-    return states.schmidt_spectrum(psi).values
+    return states.schmidt_spectrum(psi)
 
 
 def pure_state_bound_check(lam, q, d):
@@ -98,7 +98,7 @@ class TestLowerBoundThm2:
         psi = haar_pure((3, 3), rng)
         rho = states.DensityMatrix((3, 3), psi.density())
         rep = bounds.lower_bound_thm2(rho, 2.5)
-        assert rep.lower_bound <= measures.ctq_pure(psi, 2.5).value + 1e-9
+        assert rep.lower_bound <= measures.ctq_pure(psi, 2.5) + 1e-9
 
 
 class TestCorollary1:

@@ -108,6 +108,20 @@ class TestMeasure:
         run(["measure", f, "--q", "2", "--out", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        # the flags of one call, of another subcommand, do not reach the next
+        f = write_state(tmp_path, states.max_entangled(2), "bell.json")
+        w1, w2, m1, m2 = (tmp_path / n for n in ("w1.csv", "w2.csv", "m1.json", "m2.json"))
+        assert run(["werner", "--q", "3", "--step", "0.05", "--out", str(w1)]) == 0
+        assert run(["measure", f, "--out", str(m1)]) == 0
+        assert run(["isotropic", "--d", "3", "--q", "4", "--raw", "--format", "json",
+                    "--from", "0.5", "--step", "0.1", "--out", str(tmp_path / "i.json")]) == 0
+        assert run(["measure", f, "--q", "3", "--alpha", "0.2", "--out", str(tmp_path / "m.json")]) == 0
+        assert run(["werner", "--q", "3", "--step", "0.05", "--out", str(w2)]) == 0
+        assert run(["measure", f, "--out", str(m2)]) == 0
+        assert w1.read_bytes() == w2.read_bytes()
+        assert m1.read_bytes() == m2.read_bytes()
+
 
 class TestBound:
     def test_isotropic_bound(self, tmp_path):
@@ -243,6 +257,13 @@ class TestCurves:
         _, rows = read_csv(out)
         assert all(r[3] == "0" for r in rows if float(r[0]) <= 1 / 3)
 
+    @pytest.mark.parametrize("command", [["isotropic", "--d", "3"], ["werner"]], ids=["isotropic", "werner"])
+    def test_normalized_flag_removed(self, tmp_path, command):
+        # normalized units are the default; --raw is the only unit flag
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--normalized", "--step", "0.1", "--out", str(tmp_path / "c.csv")])
+        assert exc.value.code == 2
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "c.json"
         assert run(
@@ -290,6 +311,13 @@ class TestChainAndMonogamy:
         f = write_state(tmp_path, states.max_entangled(2), "bell.json")
         assert run(["monogamy", f, "--q", "2"]) == 2
 
+    def test_monogamy_refuses_q_below_two(self, tmp_path, capsys):
+        a = np.zeros(8, dtype=complex)
+        a[0] = a[7] = 1 / np.sqrt(2)
+        f = write_state(tmp_path, states.MultipartiteState((2, 2, 2), a), "ghz.json")
+        assert run(["monogamy", f, "--q", "1.5", "--out", str(tmp_path / "m.json")]) == 2
+        assert "error: need q >= 2, got 1.5" in capsys.readouterr().err
+
 
 class TestRefusedInputs:
     """Non-finite exponents and reversed or non-finite ranges exit 2 with an
@@ -331,6 +359,23 @@ class TestRefusedInputs:
     def test_reversed_or_non_finite_range(self, command, bounds, message, capsys):
         assert run(command + bounds + ["--step", "0.01"]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure", "bound"])
+    @pytest.mark.parametrize(
+        "kind, entries, value",
+        [("pure", [0], "NaN"), ("density", [0], "NaN"), ("density", [1, 4], "Infinity")],
+        ids=["pure-nan", "density-nan", "density-inf"],
+    )
+    def test_non_finite_state_file(self, tmp_path, command, kind, entries, value, capsys):
+        # Python's json writes and reads NaN and Infinity; the state constructors refuse them
+        obj = states.state_to_dict(states.max_entangled(2) if kind == "pure" else states.werner(0.3, 2))
+        for i in entries:
+            obj["re"][i] = float(value)
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps(obj))
+        assert value in f.read_text()
+        assert run([command, str(f), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestAccept:

@@ -122,26 +122,24 @@ class TestConvexEnvelope:
     def test_convex_input_unchanged(self):
         x = np.linspace(0, 1, 101)
         y = (x - 0.4) ** 2
-        curve = closedform.convex_envelope(x, y)
-        assert np.allclose(curve.values, y, atol=1e-14)
-        assert curve.breakpoints == ()
+        env = closedform.convex_envelope(x, y)
+        assert np.allclose(env, y, atol=1e-14)
 
     def test_matches_brute_force(self, rng):
         x = np.linspace(0, 1, 41)
         for _ in range(10):
             y = np.cumsum(rng.standard_normal(41) * 0.3)
-            curve = closedform.convex_envelope(x, y)
-            assert np.allclose(curve.values, brute_force_envelope(x, y), atol=1e-12)
+            env = closedform.convex_envelope(x, y)
+            assert np.allclose(env, brute_force_envelope(x, y), atol=1e-12)
 
     def test_envelope_properties(self, rng):
         x = np.linspace(0, 1, 201)
         y = np.sin(6 * x) + 0.5 * x + rng.standard_normal(201) * 0.05
-        curve = closedform.convex_envelope(x, y)
+        env = closedform.convex_envelope(x, y)
         # below the raw curve, convex, idempotent
-        assert np.all(curve.values <= y + 1e-12)
-        assert np.diff(curve.values, 2).min() >= -1e-9
-        again = closedform.convex_envelope(x, curve.values)
-        assert np.allclose(again.values, curve.values, atol=1e-12)
+        assert np.all(env <= y + 1e-12)
+        assert np.diff(env, 2).min() >= -1e-9
+        assert np.allclose(closedform.convex_envelope(x, env), env, atol=1e-12)
 
     def test_grid_too_coarse(self):
         with pytest.raises(CtqError, match="need at least 3 grid points, got 2"):
@@ -153,12 +151,15 @@ class TestConvexEnvelope:
         step = 1e-4
         g = np.arange(0.0, 1.0 + step / 2, step)
         v = np.array([zeta(f, 3, 3) for f in g])
-        curve = closedform.convex_envelope(g, v)
-        assert len(curve.breakpoints) == 1
-        bp = curve.breakpoints[0]
+        env = closedform.convex_envelope(g, v)
+        # one chord: a single run of points where the envelope leaves the
+        # curve; the tangency is the last point before it
+        off = np.flatnonzero(np.abs(env - v) > 1e-9)
+        assert np.array_equal(off, np.arange(off[0], off[-1] + 1))
+        bp = off[0] - 1
         assert g[bp] == pytest.approx(8.0 / 9.0, abs=2e-4)
-        assert curve.values[bp] == pytest.approx(0.75, abs=1e-3)
-        slope = (curve.values[-1] - curve.values[bp]) / (1.0 - g[bp])
+        assert env[bp] == pytest.approx(0.75, abs=1e-3)
+        slope = (env[-1] - env[bp]) / (1.0 - g[bp])
         assert slope == pytest.approx(2.25, abs=2e-3)
         # exact tangency values at F = 8/9: chi^2 = 2/3, sigma^2 = 1/6
         p = closedform.chi_sigma(8.0 / 9.0, 3)
@@ -403,8 +404,8 @@ class TestArrayInput:
             lambda t: monogamy.chain_ctq(t, 2.5),
             lambda t: monogamy.chain_ctq(t, 4),
             monogamy.chain_concurrence,
-            lambda t: (monogamy.residual_tau(t, 3.7, 1.3),),
-            lambda t: (monogamy.residual_tau(t, 2, 2, which="concurrence"),),
+            lambda t: (monogamy.chain_residual(monogamy.chain_ctq(t, 3.7), 1.3),),
+            lambda t: (monogamy.chain_residual(monogamy.chain_concurrence(t), 2),),
         ],
         ids=["chain_ctq-q2.5", "chain_ctq-q4", "chain_concurrence",
              "residual_tau-q3.7-gamma1.3", "residual_tau-concurrence-gamma2"],
@@ -432,7 +433,7 @@ class TestEnvelopeAccuracy:
         # the fixed envelope grid agrees with the hull of a 10x finer sampling
         F = np.linspace(0.0, 1.0, 100_001)
         fine = closedform.convex_envelope(F, closedform.zeta_isotropic(F, q, d))
-        assert np.max(np.abs(closedform.ctq_isotropic(F, q, d) - fine.values)) <= 1e-6
+        assert np.max(np.abs(closedform.ctq_isotropic(F, q, d) - fine)) <= 1e-6
 
     def test_no_runtime_warning_at_non_integer_exponent(self):
         # chi**2 rounds above 1 at F <= 1/d; a fractional power of the

@@ -4,7 +4,7 @@ import pytest
 from ctq import measures, states
 from ctq.exceptions import CtqError, ExponentOutsideTheoremRange
 
-from conftest import haar_pure
+from conftest import haar_pure, random_unitary
 
 BELL = states.max_entangled(2)
 
@@ -62,39 +62,40 @@ class TestTotalConcurrence:
 class TestCtqPure:
     def test_bell_is_one(self):
         for q in (2, 3, 4, 7.5):
-            assert measures.ctq_pure(BELL, q).value == pytest.approx(1.0, abs=1e-12)
+            assert measures.ctq_pure(BELL, q) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_is_zero(self):
         psi = states.pure_from_amplitudes([1, 0, 0, 0, 0, 0], (2, 3))
-        assert measures.ctq_pure(psi, 3).value == 0.0
+        assert measures.ctq_pure(psi, 3) == 0.0
 
     def test_skew_example_q2(self):
         # 2 (1 - 0.81 - 0.01) = 0.36, cross-checked by the concurrence map
         psi = states.pure_from_amplitudes([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], (2, 2))
-        got = measures.ctq_pure(psi, 2).value
+        got = measures.ctq_pure(psi, 2)
         assert got == pytest.approx(0.36, abs=1e-12)
         c = measures.concurrence_pure(psi)
         assert c == pytest.approx(0.6, abs=1e-12)
         assert got == pytest.approx(measures.h_q(c, 2), abs=1e-12)
 
-    def test_effective_dim_is_min(self, rng):
-        psi = haar_pure((2, 6), rng)
-        assert measures.ctq_pure(psi, 3).effective_dim == 2
+    def test_effective_dim_is_min(self):
+        # Schmidt spectrum (1/2, 1/2) on 2 x 3: maximal for min(dA, dB) = 2
+        psi = states.pure_from_amplitudes(np.array([1, 0, 0, 0, 1, 0]) / np.sqrt(2), (2, 3))
+        assert measures.ctq_pure(psi, 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(40):
             psi = haar_pure((3, 3), rng)
-            UA, UB = states.random_unitary(3, rng), states.random_unitary(3, rng)
+            UA, UB = random_unitary(3, rng), random_unitary(3, rng)
             rotated = states.PureState((3, 3), np.kron(UA, UB) @ psi.amps)
             q = 2 + 3 * rng.random()
-            assert measures.ctq_pure(rotated, q).value == pytest.approx(
-                measures.ctq_pure(psi, q).value, abs=1e-10
+            assert measures.ctq_pure(rotated, q) == pytest.approx(
+                measures.ctq_pure(psi, q), abs=1e-10
             )
 
     def test_range_and_extremes(self, rng):
         for _ in range(100):
             psi = haar_pure((3, 4), rng)
-            v = measures.ctq_pure(psi, 2.5).value
+            v = measures.ctq_pure(psi, 2.5)
             assert 0.0 <= v <= 1.0 + 1e-10
 
 
@@ -137,6 +138,8 @@ class TestClassical:
             measures.classical_total_c2([0.7, 0.7])
         with pytest.raises(CtqError, match="expected a probability vector"):
             measures.classical_total_c2([1.2, -0.2])
+        with pytest.raises(CtqError, match="expected a probability vector"):
+            measures.classical_total_c2([])
 
 
 class TestHq:
@@ -205,27 +208,28 @@ class TestCtqTwoQubitMixed:
             psi = haar_pure((2, 2), rng)
             rho = states.DensityMatrix((2, 2), psi.density())
             q = 2 + 2 * rng.random()
-            assert measures.ctq_two_qubit_mixed(rho, q).value == pytest.approx(
-                measures.ctq_pure(psi, q).value, abs=1e-10
+            assert measures.ctq_two_qubit_mixed(rho, q) == pytest.approx(
+                measures.ctq_pure(psi, q), abs=1e-10
             )
 
     def test_werner_point_nine_q2(self):
-        got = measures.ctq_two_qubit_mixed(states.werner(0.9, 2), 2).value
+        got = measures.ctq_two_qubit_mixed(states.werner(0.9, 2), 2)
         assert got == pytest.approx(0.64, abs=1e-12)
 
     def test_separable_zero(self):
         rho = states.DensityMatrix((2, 2), np.diag([0.25] * 4).astype(complex))
-        assert measures.ctq_two_qubit_mixed(rho, 3).value == 0.0
+        assert measures.ctq_two_qubit_mixed(rho, 3) == 0.0
 
     def test_exponent_range(self):
         rho = states.werner(0.8, 2)
         with pytest.raises(ExponentOutsideTheoremRange):
             measures.ctq_two_qubit_mixed(rho, 5.0)
-        with pytest.raises(ExponentOutsideTheoremRange):
-            measures.ctq_from_concurrence(0.5, 4.5)
 
     def test_from_concurrence_matches(self):
-        assert measures.ctq_from_concurrence(0.8, 2) == pytest.approx(0.64, abs=1e-14)
+        c = measures.wootters_concurrence_2qubit(states.werner(0.9, 2))
+        assert c == pytest.approx(0.8, abs=1e-12)
+        assert measures.h_q(0.8, 2) == pytest.approx(0.64, abs=1e-14)
+        assert measures.ctq_two_qubit_mixed(states.werner(0.9, 2), 2) == measures.h_q(c, 2)
 
 
 class TestQubitQuditMap:
@@ -236,18 +240,9 @@ class TestQubitQuditMap:
             d = int(rng.integers(2, 7))
             psi = haar_pure((2, d), rng)
             q = 2 + 6 * rng.random()
-            got = measures.ctq_pure(psi, q).value
+            got = measures.ctq_pure(psi, q)
             want = measures.h_q(measures.concurrence_pure(psi), q)
             assert got == pytest.approx(want, abs=1e-10)
-
-
-class TestMeasureParams:
-    def test_alpha_family_validation(self):
-        measures.MeasureParams(measures.Family.ALPHA, 0.3)
-        with pytest.raises(CtqError, match="family ALPHA requires exponent in .*, got 0.7"):
-            measures.MeasureParams(measures.Family.ALPHA, 0.7)
-        with pytest.raises(CtqError, match="family Q requires exponent >= 2, got 1.5"):
-            measures.MeasureParams(measures.Family.Q, 1.5)
 
 
 class TestFunctionalProperties:

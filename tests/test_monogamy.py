@@ -105,6 +105,12 @@ class TestMonogamyCheck:
         with pytest.raises(CtqError, match="gamma must be positive, got 0.0"):
             monogamy.monogamy_check(ghz3(), 2, gamma=0.0)
 
+    def test_refuses_q_below_two(self):
+        # the measure is defined for q >= 2 only
+        with pytest.raises(CtqError, match="need q >= 2, got 1.5"):
+            monogamy.monogamy_check(ghz3(), 1.5)
+        assert monogamy.monogamy_check(ghz3(), 2.0).guaranteed
+
 
 class TestExample2:
     def test_concurrence_triple(self):
@@ -162,7 +168,7 @@ class TestChain:
             theta = rng.uniform(0, 2 * np.pi)
             q = 2 + 4 * rng.random()
             closed = monogamy.chain_ctq(theta, q)[0]
-            direct = measures.ctq_pure(states.chain_state(theta).split_first(), q).value
+            direct = measures.ctq_pure(states.chain_state(theta).split_first(), q)
             assert closed == pytest.approx(direct, abs=1e-10)
 
     def test_concurrence_triple(self):
@@ -175,23 +181,25 @@ class TestChain:
 class TestResidualTau:
     def test_concurrence_balanced_gamma2(self):
         # C_cut^2 = 3/2, both pairwise terms 1: residual is -1/2
-        tau = monogamy.residual_tau(np.pi / 4, 2, 2, which="concurrence")
+        tau = monogamy.chain_residual(monogamy.chain_concurrence(np.pi / 4), 2)
         assert tau == pytest.approx(-0.5, abs=1e-12)
 
     def test_ctq_balanced_gamma1_q4(self):
-        assert monogamy.residual_tau(np.pi / 4, 4, 1, which="ctq") == pytest.approx(-1.0, abs=1e-12)
+        tau = monogamy.chain_residual(monogamy.chain_ctq(np.pi / 4, 4), 1)
+        assert tau == pytest.approx(-1.0, abs=1e-12)
 
     def test_large_gamma_smoke(self):
         # no sign assertion for large gamma, only finiteness and continuity
-        taus = [monogamy.residual_tau(np.pi / 3, 3, g, "ctq") for g in np.linspace(4.9, 5.1, 21)]
+        triple = monogamy.chain_ctq(np.pi / 3, 3)
+        taus = [monogamy.chain_residual(triple, g) for g in np.linspace(4.9, 5.1, 21)]
         assert np.all(np.isfinite(taus))
         assert np.abs(np.diff(taus)).max() < 0.05
 
     def test_errors(self):
         with pytest.raises(CtqError, match="gamma must be positive, got 0.0"):
-            monogamy.residual_tau(0.3, 3, 0.0)
-        with pytest.raises(CtqError, match="which must be 'ctq' or 'concurrence', got 'nope'"):
-            monogamy.residual_tau(0.3, 3, 1.0, which="nope")
+            monogamy.chain_residual(monogamy.chain_ctq(0.3, 3), 0.0)
+        with pytest.raises(CtqError, match="theta must be finite, got nan"):
+            monogamy.chain_concurrence(np.nan)
 
 
 class TestSuperadditivityKernel:

@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from ctq import bounds, closedform, measures, monogamy, states
 from ctq.exceptions import CtqError
 
+from conftest import random_unitary
+
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 EXPONENTS = st.floats(2.0, 10.0)
 
@@ -37,16 +39,16 @@ def unit_vector(draw, d):
 @PROPERTY
 @given(pure_states(), EXPONENTS)
 def test_ctq_pure_in_unit_interval(psi, q):
-    assert 0.0 <= measures.ctq_pure(psi, q).value <= 1.0 + 1e-12
+    assert 0.0 <= measures.ctq_pure(psi, q) <= 1.0 + 1e-12
 
 
 @PROPERTY
 @given(pure_states(), EXPONENTS, st.integers(0, 2**32 - 1))
 def test_ctq_pure_invariant_under_local_unitaries(psi, q, seed):
     rng = np.random.default_rng(seed)
-    U, V = (states.random_unitary(d, rng) for d in psi.dims)
+    U, V = (random_unitary(d, rng) for d in psi.dims)
     moved = states.PureState(psi.dims, np.kron(U, V) @ psi.amps)
-    assert measures.ctq_pure(moved, q).value == pytest.approx(measures.ctq_pure(psi, q).value, abs=1e-10)
+    assert measures.ctq_pure(moved, q) == pytest.approx(measures.ctq_pure(psi, q), abs=1e-10)
 
 
 @PROPERTY
@@ -54,7 +56,7 @@ def test_ctq_pure_invariant_under_local_unitaries(psi, q, seed):
 def test_product_states_give_zero(data, dA, dB, q):
     a, b = unit_vector(data.draw, dA), unit_vector(data.draw, dB)
     psi = states.PureState((dA, dB), np.kron(a, b).astype(complex))
-    assert measures.ctq_pure(psi, q).value <= 1e-12
+    assert measures.ctq_pure(psi, q) <= 1e-12
 
 
 @PROPERTY
@@ -64,13 +66,16 @@ def test_thm2_bound_below_pure_value(psi, t):
     lo = bounds.s_threshold() if d == 2 else 2.0  # the regime the bound claims
     q = lo + (10.0 - lo) * t
     rho = states.DensityMatrix(psi.dims, psi.density())
-    assert bounds.lower_bound_thm2(rho, q).lower_bound <= measures.ctq_pure(psi, q).value + 1e-9
+    assert bounds.lower_bound_thm2(rho, q).lower_bound <= measures.ctq_pure(psi, q) + 1e-9
 
 
-# -- every public q / alpha / gamma / F / w / x parameter refuses NaN and +-inf
+# -- every public q / alpha / gamma / F / w / x / theta parameter and every
+# probability or coefficient vector refuses NaN and +-inf
 
 _GHZ = states.MultipartiteState((2, 2, 2), np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2))
 _BELL = states.max_entangled(2)
+_BELL_RHO = states.DensityMatrix((2, 2), _BELL.density())
+_MAX3 = states.max_entangled(3)
 _NU = np.sqrt(np.array([2, 0, 1, 2, 2]) / 7.0)
 
 REFUSING = {
@@ -87,18 +92,24 @@ REFUSING = {
     "isotropic_chord_params-q": lambda x: closedform.isotropic_chord_params(x, 3),
     "oracle_min_schmidt-F": lambda x: closedform.oracle_min_schmidt(x, 3, 3),
     "oracle_min_schmidt-q": lambda x: closedform.oracle_min_schmidt(0.8, x, 3),
-    "MeasureParams-q": lambda x: measures.MeasureParams(measures.Family.Q, x),
-    "MeasureParams-alpha": lambda x: measures.MeasureParams(measures.Family.ALPHA, x),
+    # MeasureParams and ctq_from_concurrence are gone; their ids stay on the
+    # functions that now make the same checks: the measures' own exponent
+    # checks, h_q for the concurrence argument, and the 2 <= q <= 4 range of
+    # ctq_two_qubit_mixed
+    "MeasureParams-q": lambda x: measures.ctq_pure(_MAX3, x),
+    "MeasureParams-alpha": lambda x: measures.ct_alpha_pure(_MAX3, x),
+    "ctq_from_concurrence-x": lambda x: measures.h_q(x, 2.5),
+    "ctq_from_concurrence-q": lambda x: measures.ctq_two_qubit_mixed(_BELL_RHO, x),
     "normalization_mu-q": lambda x: measures.normalization_mu(3, x),
     "q_concurrence_pure-q": lambda x: measures.q_concurrence_pure([0.5, 0.5], x),
+    "q_concurrence_pure-lam": lambda x: measures.q_concurrence_pure([x, 1.0], 2),
     "total_concurrence_pure-q": lambda x: measures.total_concurrence_pure([0.5, 0.5], x),
     "ctq_pure-q": lambda x: measures.ctq_pure(_BELL, x),
     "ct_alpha_pure-alpha": lambda x: measures.ct_alpha_pure(_BELL, x),
     "h_q-x": lambda x: measures.h_q(x, 3),
     "h_q-q": lambda x: measures.h_q(0.5, x),
     "ctq_two_qubit_mixed-q": lambda x: measures.ctq_two_qubit_mixed(states.werner(0.9, 2), x),
-    "ctq_from_concurrence-x": lambda x: measures.ctq_from_concurrence(x, 3),
-    "ctq_from_concurrence-q": lambda x: measures.ctq_from_concurrence(0.5, x),
+    "classical_total_c2-p": lambda x: measures.classical_total_c2([x, 1.0]),
     "stationary_second_derivative-q": lambda x: bounds.stationary_second_derivative(x, 2),
     "thm2_bound-q-d2": lambda x: bounds.thm2_bound(1.5, x, 2),
     "thm2_bound-q-d3": lambda x: bounds.thm2_bound(1.5, x, 3),
@@ -109,10 +120,14 @@ REFUSING = {
     "monogamy_check-gamma": lambda x: monogamy.monogamy_check(_GHZ, 2, gamma=x),
     "example2_K-q": lambda x: monogamy.example2_K(_NU, x, 2),
     "example2_K-alpha": lambda x: monogamy.example2_K(_NU, 2.5, x),
+    "gen_schmidt_concurrences-nu": lambda x: monogamy.gen_schmidt_concurrences([x, 0, 0, 0, 1]),
     "chain_ctq-q": lambda x: monogamy.chain_ctq(0.3, x),
+    "chain_ctq-theta": lambda x: monogamy.chain_ctq(x, 3),
+    "chain_concurrence-theta": monogamy.chain_concurrence,
     "chain_residual-gamma": lambda x: monogamy.chain_residual((0.5, 0.2, 0.1), x),
-    "residual_tau-q": lambda x: monogamy.residual_tau(0.3, x, 1.0),
-    "residual_tau-gamma": lambda x: monogamy.residual_tau(0.3, 3, x),
+    # tau, the chain residual, as the chain CSV's tau column computes it
+    "residual_tau-q": lambda x: monogamy.chain_residual(monogamy.chain_ctq(0.3, x), 1.0),
+    "residual_tau-gamma": lambda x: monogamy.chain_residual(monogamy.chain_ctq(0.3, 3), x),
     "isotropic-F": lambda x: states.isotropic(x, 3),
     "werner-w": lambda x: states.werner(x, 3),
 }

@@ -3,9 +3,9 @@ import pytest
 
 from ctq import qlinalg
 from ctq.exceptions import CtqError
-from ctq.states import chain_state, max_entangled, random_density, random_unitary
+from ctq.states import chain_state, max_entangled, random_density
 
-from conftest import haar_pure
+from conftest import haar_pure, random_unitary
 
 BELL = max_entangled(2)
 
@@ -98,12 +98,6 @@ def test_realign_index_convention_and_shape():
     assert qlinalg.realign(np.eye(6), (2, 3)).shape == (4, 9)
 
 
-def test_realign_is_bijective(rng):
-    for dims in ((2, 2), (2, 3), (3, 3)):
-        rho = random_density(dims, 3, seed=int(rng.integers(1 << 30))).mat
-        assert np.allclose(qlinalg.realign_inverse(qlinalg.realign(rho, dims), dims), rho)
-
-
 def test_realign_norms():
     rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
     assert qlinalg.trace_norm(qlinalg.realign(rho, (2, 2))) == pytest.approx(1.0)
@@ -156,7 +150,7 @@ def test_pure_state_trace_norm_identity(rng):
     for dims in ((2, 2), (2, 3), (3, 3), (3, 4)):
         for _ in range(50):
             psi = haar_pure(dims, rng)
-            lam = schmidt_spectrum(psi).values
+            lam = schmidt_spectrum(psi)
             ref = np.sum(np.sqrt(lam)) ** 2
             rank = int(np.sum(lam > 1e-12))
             tp = qlinalg.trace_norm(qlinalg.partial_transpose(psi.density(), dims))

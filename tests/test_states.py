@@ -6,7 +6,7 @@ import pytest
 from ctq import qlinalg, states
 from ctq.exceptions import CtqError
 
-from conftest import haar_pure
+from conftest import haar_pure, random_unitary
 
 
 def test_pure_from_amplitudes_basic():
@@ -36,15 +36,31 @@ def test_pure_from_amplitudes_errors():
         states.pure_from_amplitudes([0, 0, 0, 0], (2, 2))
     with pytest.raises(CtqError, match="norm 0.90000000 deviates from 1"):
         states.pure_from_amplitudes([0.9, 0, 0, 0], (2, 2))
+    with pytest.raises(CtqError, match="amplitudes must be finite"):
+        states.pure_from_amplitudes([np.nan, 1, 0, 0], (2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_constructors_refuse_non_finite_entries(bad):
+    amps = np.array([bad, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
+    with pytest.raises(CtqError, match="pure state amplitudes must be finite"):
+        states.PureState((2, 4), amps)
+    with pytest.raises(CtqError, match="state amplitudes must be finite"):
+        states.MultipartiteState((2, 2, 2), amps)
+    mat = np.eye(4) / 4
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(CtqError, match="density matrix has non-finite entries"):
+        states.DensityMatrix((2, 2), mat)
 
 
 def test_schmidt_spectrum_examples():
     product = states.pure_from_amplitudes([1, 0, 0, 0], (2, 2))
-    assert np.allclose(states.schmidt_spectrum(product).values, [1.0, 0.0])
+    assert np.allclose(states.schmidt_spectrum(product), [1.0, 0.0])
     bell = states.max_entangled(2)
-    assert np.allclose(states.schmidt_spectrum(bell).values, [0.5, 0.5])
+    assert np.allclose(states.schmidt_spectrum(bell), [0.5, 0.5])
     skew = states.pure_from_amplitudes([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], (2, 2))
-    assert np.allclose(states.schmidt_spectrum(skew).values, [0.9, 0.1])
+    assert np.allclose(states.schmidt_spectrum(skew), [0.9, 0.1])
+    assert not states.schmidt_spectrum(skew).flags.writeable
 
 
 def test_schmidt_spectrum_length_is_min_dim(rng):
@@ -181,7 +197,7 @@ def test_isotropic_twirl_invariance(rng):
     for d in (2, 3):
         rho = states.isotropic(0.77, d).mat
         for _ in range(50):
-            V = states.random_unitary(d, rng)
+            V = random_unitary(d, rng)
             U = np.kron(V, V.conj())
             assert np.max(np.abs(U @ rho @ U.conj().T - rho)) < 1e-9
 
@@ -190,7 +206,7 @@ def test_werner_twirl_invariance(rng):
     for d in (2, 3):
         rho = states.werner(0.66, d).mat
         for _ in range(50):
-            V = states.random_unitary(d, rng)
+            V = random_unitary(d, rng)
             U = np.kron(V, V)
             assert np.max(np.abs(U @ rho @ U.conj().T - rho)) < 1e-9
 
@@ -198,10 +214,10 @@ def test_werner_twirl_invariance(rng):
 def test_schmidt_local_unitary_invariance(rng):
     for _ in range(25):
         psi = haar_pure((3, 4), rng)
-        UA, UB = states.random_unitary(3, rng), states.random_unitary(4, rng)
+        UA, UB = random_unitary(3, rng), random_unitary(4, rng)
         rotated = states.PureState((3, 4), np.kron(UA, UB) @ psi.amps)
-        lam0 = states.schmidt_spectrum(psi).values
-        lam1 = states.schmidt_spectrum(rotated).values
+        lam0 = states.schmidt_spectrum(psi)
+        lam1 = states.schmidt_spectrum(rotated)
         assert np.max(np.abs(lam0 - lam1)) < 1e-10
 
 

@@ -229,7 +229,8 @@ def c11_chain_identities():
         theta = rng.uniform(0, 2 * np.pi)
         q = 2.0 + 3.0 * rng.random()
         closed = monogamy.chain_ctq(theta, q)[0]
-        direct = measures.ctq_pure(states.chain_state(theta).split_first(), q)
+        lam = states.schmidt_spectrum(states.chain_state(theta).split_first())
+        direct = measures.ctq_pure(lam, q)
         worst = max(worst, abs(closed - direct))
     ac_dev = max(
         abs(monogamy.chain_ctq(th, qq)[2] - 1.0)

@@ -33,9 +33,7 @@ _S_BRACKET = (3.0, 3.6)
 class BoundReport:
     ppt_norm: float
     realign_norm: float
-    lower_bound: float
-    q: float
-    d: int
+    lower_bound_normalized: float
     entangled_by_ppt: bool
     entangled_by_realignment: bool
 
@@ -110,9 +108,7 @@ def lower_bound_thm2(rho: DensityMatrix, q: float) -> BoundReport:
     return BoundReport(
         ppt_norm=ppt,
         realign_norm=rea,
-        lower_bound=thm2_bound(max(ppt, rea), q, d),
-        q=float(q),
-        d=d,
+        lower_bound_normalized=thm2_bound(max(ppt, rea), q, d),
         entangled_by_ppt=ppt > 1.0 + ENTANGLEMENT_WITNESS_TOL,
         entangled_by_realignment=rea > 1.0 + ENTANGLEMENT_WITNESS_TOL,
     )

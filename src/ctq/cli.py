@@ -1,17 +1,16 @@
 """Command-line front end.
 
-Subcommands: ``measure`` and ``bound`` evaluate a state file, ``isotropic``
-and ``werner`` emit curve CSVs, ``chain`` sweeps the chain-state residual,
-``monogamy`` checks a multipartite qubit state, and ``accept`` runs the
-acceptance suite.  Reports are JSON, curves are CSV; output files are
-written atomically (temp file + rename).
+Subcommands: ``measure`` and ``bound`` evaluate a bipartite state file,
+``isotropic`` and ``werner`` emit curve tables, ``chain`` sweeps the
+chain-state residual, ``monogamy`` checks a multipartite qubit state, and
+``accept`` runs the acceptance suite.  Reports are JSON, tables are CSV or
+JSON rows; output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import os
 import sys
@@ -39,15 +38,22 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _emit(payload, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        _write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _emit(payload, out: str | None) -> None:
+    _write_atomic(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_table(args: argparse.Namespace, header: list[str], columns: list[list[str]]) -> None:
+    """Printed cells, one list per column: CSV rows comma-joined with \\r\\n ends
+    (no cell needs quoting), or with --format json a list of row objects."""
+    rows = list(zip(*columns))
+    if args.format == "json":
+        _emit([dict(zip(header, row)) for row in rows], args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in payload:
-            writer.writerow(row)
-        _write_atomic(out, buf.getvalue())
+        _write_atomic(args.out, "".join(",".join(row) + "\r\n" for row in [header, *rows]))
+
+
+def _cells(values, spec: str = ".12g") -> list[str]:
+    return [format(v, spec) for v in np.asarray(values).tolist()]
 
 
 def _grid(args: argparse.Namespace) -> np.ndarray:
@@ -59,36 +65,31 @@ def _grid(args: argparse.Namespace) -> np.ndarray:
     return np.linspace(args.lo, args.hi, n + 1)
 
 
-def _emit_rows(rows: list[list[str]], args: argparse.Namespace) -> None:
-    if args.format == "json":
-        header, body = rows[0], rows[1:]
-        payload = [dict(zip(header, row)) for row in body]
-        _emit(payload, "json", args.out)
-    else:
-        _emit(rows, "csv", args.out)
+def _load_bipartite(args: argparse.Namespace):
+    state = states.load_state(args.state)
+    if isinstance(state, states.MultipartiteState):
+        raise CtqError(f"{args.command} handles bipartite states; "
+                       "use the monogamy command for multipartite input")
+    return state
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    state = states.load_state(args.state)
+    check_range(args.alpha, "alpha must lie in [0, 1/2], got {}", 0.0, 0.5)
+    state = _load_bipartite(args)
     q = args.q
     report: dict = {"file": args.state, "q": q, "alpha": args.alpha}
-    if isinstance(state, states.MultipartiteState):
-        raise CtqError(
-            "measure handles bipartite states; use the monogamy command for multipartite input"
-        )
     if isinstance(state, states.PureState):
         lam = states.schmidt_spectrum(state)
-        d = min(state.dims)
         report.update(
             {
                 "kind": "pure",
                 "dims": list(state.dims),
                 "schmidt_spectrum": lam.tolist(),
                 "q_concurrence": measures.q_concurrence_pure(lam, q),
-                "total_concurrence_raw": measures.total_concurrence_pure(lam, q, d),
-                "ctq_normalized": measures.ctq_pure(state, q),
-                "ct_alpha": measures.ct_alpha_pure(state, args.alpha),
-                "concurrence": measures.concurrence_pure(state),
+                "total_concurrence_raw": measures.total_concurrence_pure(lam, q),
+                "ctq_normalized": measures.ctq_pure(lam, q),
+                "ct_alpha": measures.ct_alpha_pure(lam, args.alpha),
+                "concurrence": measures.concurrence_pure(lam),
             }
         )
     else:
@@ -123,23 +124,14 @@ def cmd_measure(args: argparse.Namespace) -> int:
                 }
             )
         else:
+            report["lower_bound_only"] = True
             try:
-                rep = bounds.lower_bound_thm2(state, q)
+                report.update(dataclasses.asdict(bounds.lower_bound_thm2(state, q)))
             except (ExponentOutsideTheoremRange, UnequalLocalDims) as exc:
-                report.update({"lower_bound_only": True, "error": str(exc)})
-                _emit(report, "json", args.out)
+                report["error"] = str(exc)
+                _emit(report, args.out)
                 return 2
-            report.update(
-                {
-                    "lower_bound_only": True,
-                    "lower_bound_normalized": rep.lower_bound,
-                    "ppt_norm": rep.ppt_norm,
-                    "realign_norm": rep.realign_norm,
-                    "entangled_by_ppt": rep.entangled_by_ppt,
-                    "entangled_by_realignment": rep.entangled_by_realignment,
-                }
-            )
-    _emit(report, "json", args.out)
+    _emit(report, args.out)
     return 0
 
 
@@ -164,31 +156,19 @@ def _detect_family(rho: states.DensityMatrix) -> tuple[str, float] | None:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    state = states.load_state(args.state)
-    if isinstance(state, (states.PureState, states.MultipartiteState)):
+    state = _load_bipartite(args)
+    if isinstance(state, states.PureState):
         state = states.DensityMatrix(state.dims, state.density())
     rep = bounds.lower_bound_thm2(state, args.q)
-    _emit(
-        {
-            "file": args.state,
-            "q": rep.q,
-            "d": rep.d,
-            "ppt_norm": rep.ppt_norm,
-            "realign_norm": rep.realign_norm,
-            "lower_bound_normalized": rep.lower_bound,
-            "entangled_by_ppt": rep.entangled_by_ppt,
-            "entangled_by_realignment": rep.entangled_by_realignment,
-        },
-        "json",
-        args.out,
-    )
+    _emit({"file": args.state, "q": args.q, "d": state.dims[0], **dataclasses.asdict(rep)},
+          args.out)
     return 0
 
 
 def _bound_column(N: np.ndarray, q: float, d: int, scale: float) -> list[str]:
     """Printed Thm-2 bounds for the trace norms N; empty where no bound applies."""
     try:
-        return [f"{b:.12g}" for b in bounds.thm2_bound(N, q, d) * scale]
+        return _cells(bounds.thm2_bound(N, q, d) * scale)
     except ExponentOutsideTheoremRange:  # exponent below the d = 2 threshold
         return [""] * N.size
 
@@ -201,10 +181,8 @@ def cmd_curve_isotropic(args: argparse.Namespace) -> int:
     raw = closedform.zeta_isotropic(grid, q, d, normalized=not args.raw)
     env = closedform.ctq_isotropic(grid, q, d) * scale
     bound = _bound_column(np.maximum(1.0, d * grid), q, d, scale)
-    rows = [["F", "raw", "envelope", "lower_bound"]]
-    for F, r, e, b in zip(grid, raw, env, bound):
-        rows.append([f"{F:.10g}", f"{r:.12g}", f"{e:.12g}", b])
-    _emit_rows(rows, args)
+    _emit_table(args, ["F", "raw", "envelope", "lower_bound"],
+                [_cells(grid, ".10g"), _cells(raw), _cells(env), bound])
     return 0
 
 
@@ -219,10 +197,8 @@ def cmd_curve_werner(args: argparse.Namespace) -> int:
     env = closedform.ctq_werner(grid, q) * scale
     bound = _bound_column(np.maximum(1.0, 2.0 * grid), q, 2, scale)
     eof = closedform.eof_werner(grid)
-    rows = [["w", "raw", "envelope", "lower_bound", "eof"]]
-    for w, r, e, b, f in zip(grid, raw, env, bound, eof):
-        rows.append([f"{w:.10g}", f"{r:.12g}", f"{e:.12g}", b, f"{f:.12g}"])
-    _emit_rows(rows, args)
+    _emit_table(args, ["w", "raw", "envelope", "lower_bound", "eof"],
+                [_cells(grid, ".10g"), _cells(raw), _cells(env), bound, _cells(eof)])
     return 0
 
 
@@ -231,11 +207,9 @@ def cmd_chain(args: argparse.Namespace) -> int:
     triple = monogamy.chain_ctq(grid, args.q)
     measure = triple if args.which == "ctq" else monogamy.chain_concurrence(grid)
     tau = monogamy.chain_residual(measure, args.gamma)
-    gamma = f"{args.gamma:.10g}"
-    rows = [["theta", "gamma", "ctq_a_bc", "ctq_ab", "ctq_ac", "tau"]]
-    for theta, a_bc, ab, ac, t in zip(grid, *triple, tau):
-        rows.append([f"{theta:.10g}", gamma] + [f"{v:.12g}" for v in (a_bc, ab, ac, t)])
-    _emit_rows(rows, args)
+    _emit_table(args, ["theta", "gamma", "ctq_a_bc", "ctq_ab", "ctq_ac", "tau"],
+                [_cells(grid, ".10g"), [f"{args.gamma:.10g}"] * grid.size,
+                 *map(_cells, triple), _cells(tau)])
     return 0
 
 
@@ -244,19 +218,8 @@ def cmd_monogamy(args: argparse.Namespace) -> int:
     if not isinstance(state, states.MultipartiteState):
         raise CtqError("monogamy requires a state with at least three parties")
     rep = monogamy.monogamy_check(state, args.q, args.gamma)
-    _emit(
-        {
-            "file": args.state,
-            "q": rep.q,
-            "gamma": rep.gamma,
-            "lhs": rep.lhs,
-            "pairwise": list(rep.pairwise),
-            "residual": rep.residual,
-            "guaranteed": rep.guaranteed,
-        },
-        "json",
-        args.out,
-    )
+    _emit({"file": args.state, "q": args.q, "gamma": args.gamma, **dataclasses.asdict(rep)},
+          args.out)
     return 0
 
 
@@ -266,16 +229,11 @@ def cmd_accept(args: argparse.Namespace) -> int:
         echo=lambda line: print(line),
         only=None if args.only is None else set(args.only.split(",")),
     )
-    summary = {
-        "passed": acceptance.all_passed(results),
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-    }
+    passed = acceptance.all_passed(results)
     if args.out:
-        _write_atomic(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"acceptance: {'all passed' if summary['passed'] else 'FAILURES PRESENT'}")
-    return 0 if summary["passed"] else 1
+        _emit({"passed": passed, "criteria": [dataclasses.asdict(r) for r in results]}, args.out)
+    print(f"acceptance: {'all passed' if passed else 'FAILURES PRESENT'}")
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qlinalg
 from .exceptions import CtqError, ExponentOutsideTheoremRange, check_range
-from .states import DensityMatrix, PureState, schmidt_spectrum
+from .states import DensityMatrix
 
 _NEED_Q = "exponent q must be >= 2, got {}"
 
@@ -50,55 +50,40 @@ def q_concurrence_pure(lam, q: float) -> float:
     return _clamp(float(1.0 - np.sum(v**q)))
 
 
-def total_concurrence_pure(lam, q: float, d: int | None = None) -> float:
-    """Unnormalized d - sum lam**q - sum (1-lam)**q, spectrum padded to length d."""
+def total_concurrence_pure(lam, q: float) -> float:
+    """Unnormalized d - sum lam**q - sum (1-lam)**q of a Schmidt spectrum of length d."""
     q = float(check_range(q, _NEED_Q, 2.0))
     v = _spectrum_values(lam)
-    if d is None:
-        d = v.size
-    d = int(d)
-    if d < v.size:
-        if np.any(v[d:] > 1e-12):
-            raise CtqError(f"spectrum has {v.size} nonzero entries > d = {d}")
-        v = v[:d]
-    elif d > v.size:
-        v = np.concatenate([v, np.zeros(d - v.size)])
-    return _clamp(float(d - np.sum(v**q) - np.sum((1.0 - v) ** q)))
+    return _clamp(float(v.size - np.sum(v**q) - np.sum((1.0 - v) ** q)))
 
 
-def ctq_pure(psi: PureState, q: float) -> float:
-    """Normalized total concurrence of a bipartite pure state.
+def ctq_pure(lam, q: float) -> float:
+    """Normalized total concurrence of a Schmidt spectrum.
 
-    The effective dimension is min(dA, dB): the Schmidt spectrum has at most
-    that many nonzero entries, so the normalization mu(min(dA, dB), q) makes
-    the value 1 exactly on maximally entangled states.
+    The effective dimension is the spectrum's length, min(dA, dB) for a
+    dA x dB state, so the normalization mu(min(dA, dB), q) makes the value 1
+    exactly on maximally entangled states.
     """
-    q = float(check_range(q, _NEED_Q, 2.0))
-    lam = schmidt_spectrum(psi)
-    d = min(psi.dims)
-    raw = total_concurrence_pure(lam, q, d)
-    return _clamp(min(raw / normalization_mu(d, q), 1.0 + 1e-12))
+    raw = total_concurrence_pure(lam, q)
+    return _clamp(min(raw / normalization_mu(len(lam), q), 1.0 + 1e-12))
 
 
-def ct_alpha_pure(psi: PureState, alpha: float) -> float:
-    """Dual-exponent companion measure, unnormalized.
+def ct_alpha_pure(lam, alpha: float) -> float:
+    """Dual-exponent companion measure of a Schmidt spectrum, unnormalized.
 
-    sum lam**alpha - 1 + sum (1-lam)**alpha - (d-1) on the effective-d
-    spectrum, with the convention 0**0 := 0 so that zero Schmidt
+    sum lam**alpha - 1 + sum (1-lam)**alpha - (d-1) with d the spectrum's
+    length, with the convention 0**0 := 0 so that zero Schmidt
     coefficients never contribute (keeps products at exactly 0 for all
     alpha including alpha = 0).
     """
     check_range(alpha, "alpha must lie in [0, 1/2], got {}", 0.0, 0.5)
     alpha = min(max(alpha, 0.0), 0.5)
-    lam = schmidt_spectrum(psi)
-    d = min(psi.dims)
-    if lam.size < d:
-        lam = np.concatenate([lam, np.zeros(d - lam.size)])
+    v = _spectrum_values(lam)
     def pow0(x):
         # 0**0 := 0 convention: zero entries contribute nothing
         return np.where(x > 0.0, x, 1.0) ** alpha * (x > 0.0)
 
-    val = float(np.sum(pow0(lam)) - 1.0 + np.sum(pow0(1.0 - lam)) - (d - 1.0))
+    val = float(np.sum(pow0(v)) - 1.0 + np.sum(pow0(1.0 - v)) - (v.size - 1.0))
     return _clamp(val)
 
 
@@ -122,10 +107,10 @@ def h_q(x: float, q: float) -> float:
     return _clamp(float(num / (1.0 - 2.0 ** (1.0 - q))))
 
 
-def concurrence_pure(psi: PureState) -> float:
-    """sqrt(2 (1 - tr rho_A^2)) for a bipartite pure state."""
-    lam = schmidt_spectrum(psi)
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.sum(lam**2)))))
+def concurrence_pure(lam) -> float:
+    """sqrt(2 (1 - tr rho_A^2)) from a Schmidt spectrum."""
+    v = _spectrum_values(lam)
+    return float(np.sqrt(max(0.0, 2.0 * (1.0 - np.sum(v**2)))))
 
 
 _SY_SY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real

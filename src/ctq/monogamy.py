@@ -26,8 +26,6 @@ class MonogamyReport:
     lhs: float
     pairwise: tuple[float, ...]
     residual: float
-    q: float
-    gamma: float
     guaranteed: bool
 
 
@@ -57,8 +55,6 @@ def monogamy_check(psi: MultipartiteState, q: float, gamma: float = 1.0) -> Mono
         lhs=lhs,
         pairwise=tuple(pairwise),
         residual=float(residual),
-        q=float(q),
-        gamma=float(gamma),
         guaranteed=guaranteed,
     )
 

@@ -50,26 +50,26 @@ class TestLowerBoundThm2:
         rho_b = states.random_density((2,), 2, seed=2).mat
         rho = states.DensityMatrix((2, 2), np.kron(rho_a, rho_b))
         rep = bounds.lower_bound_thm2(rho, 4)
-        assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
+        assert rep.lower_bound_normalized == pytest.approx(0.0, abs=1e-12)
         assert not rep.entangled_by_ppt and not rep.entangled_by_realignment
 
     def test_isotropic_d3_q3(self):
         # trace norms are 3F above the boundary, so the bound is (3F-1)^2 / 4
         for F in (0.5, 0.7, 0.9, 1.0):
             rep = bounds.lower_bound_thm2(states.isotropic(F, 3), 3)
-            assert rep.lower_bound == pytest.approx((3 * F - 1) ** 2 / 4, abs=1e-9)
+            assert rep.lower_bound_normalized == pytest.approx((3 * F - 1) ** 2 / 4, abs=1e-9)
             assert rep.ppt_norm == pytest.approx(3 * F, abs=1e-10)
 
     def test_isotropic_d2_q4(self):
         for F in (0.6, 0.8, 0.95):
             rep = bounds.lower_bound_thm2(states.isotropic(F, 2), 4)
-            assert rep.lower_bound == pytest.approx((2 * F - 1) ** 2, abs=1e-9)
+            assert rep.lower_bound_normalized == pytest.approx((2 * F - 1) ** 2, abs=1e-9)
 
     def test_d2_midrange_uses_weaker_denominator(self):
         s = bounds.s_threshold()
         rep = bounds.lower_bound_thm2(states.isotropic(0.9, 2), 3.5)
         expected = (2 * 0.9 - 1) ** 2 / (2 * (1 - 2 ** (1 - s)))
-        assert rep.lower_bound == pytest.approx(expected, abs=1e-9)
+        assert rep.lower_bound_normalized == pytest.approx(expected, abs=1e-9)
 
     def test_regime_errors(self):
         with pytest.raises(ExponentOutsideTheoremRange):
@@ -98,7 +98,7 @@ class TestLowerBoundThm2:
         psi = haar_pure((3, 3), rng)
         rho = states.DensityMatrix((3, 3), psi.density())
         rep = bounds.lower_bound_thm2(rho, 2.5)
-        assert rep.lower_bound <= measures.ctq_pure(psi, 2.5) + 1e-9
+        assert rep.lower_bound_normalized <= measures.ctq_pure(states.schmidt_spectrum(psi), 2.5) + 1e-9
 
 
 class TestCorollary1:
@@ -110,8 +110,8 @@ class TestCorollary1:
         assert measures.normalization_mu(2, 3) / measures.normalization_mu(2, 2) == pytest.approx(1.5)
         for lam0 in (0.5, 0.7, 0.93):
             lam = np.array([lam0, 1 - lam0])
-            ct2 = measures.total_concurrence_pure(lam, 2, 2)
-            ct3 = measures.total_concurrence_pure(lam, 3, 2)
+            ct2 = measures.total_concurrence_pure(lam, 2)
+            ct3 = measures.total_concurrence_pure(lam, 3)
             assert ct3 == pytest.approx(1.5 * ct2, abs=1e-12)
 
     def test_order_errors(self):
@@ -136,8 +136,8 @@ class TestCorollary1:
             lam = rng.dirichlet(np.ones(2))
             q1 = s + 3 * rng.random()
             q2 = q1 + 3 * rng.random()
-            f1 = measures.total_concurrence_pure(lam, q1, 2) / measures.normalization_mu(2, q1)
-            f2 = measures.total_concurrence_pure(lam, q2, 2) / measures.normalization_mu(2, q2)
+            f1 = measures.total_concurrence_pure(lam, q1) / measures.normalization_mu(2, q1)
+            f2 = measures.total_concurrence_pure(lam, q2) / measures.normalization_mu(2, q2)
             assert f2 >= f1 - 1e-10
 
     @pytest.mark.xfail(
@@ -151,15 +151,15 @@ class TestCorollary1:
             lam = rng.dirichlet(np.ones(3))
             q1 = 2 + 3 * rng.random()
             q2 = q1 + 3 * rng.random()
-            f1 = measures.total_concurrence_pure(lam, q1, 3) / measures.normalization_mu(3, q1)
-            f2 = measures.total_concurrence_pure(lam, q2, 3) / measures.normalization_mu(3, q2)
+            f1 = measures.total_concurrence_pure(lam, q1) / measures.normalization_mu(3, q1)
+            f2 = measures.total_concurrence_pure(lam, q2) / measures.normalization_mu(3, q2)
             assert f2 >= f1 - 1e-10
 
     def test_monotonicity_d3_counterexample(self):
         # embedded two-level state: value strictly decreases from q=2 to q=5
         lam = np.array([0.5, 0.5, 0.0])
-        f2 = measures.total_concurrence_pure(lam, 2, 3) / measures.normalization_mu(3, 2)
-        f5 = measures.total_concurrence_pure(lam, 5, 3) / measures.normalization_mu(3, 5)
+        f2 = measures.total_concurrence_pure(lam, 2) / measures.normalization_mu(3, 2)
+        f5 = measures.total_concurrence_pure(lam, 5) / measures.normalization_mu(3, 5)
         assert f5 < f2 - 1e-3
 
     @pytest.mark.xfail(
@@ -170,7 +170,7 @@ class TestCorollary1:
     def test_corollary_bound_below_exact_d3(self, rng):
         for _ in range(500):
             lam = spectrum_of(haar_pure((3, 3), rng))
-            ct2 = measures.total_concurrence_pure(lam, 2, 3)
-            ct5 = measures.total_concurrence_pure(lam, 5, 3)
+            ct2 = measures.total_concurrence_pure(lam, 2)
+            ct5 = measures.total_concurrence_pure(lam, 5)
             claimed = measures.normalization_mu(3, 5) / measures.normalization_mu(3, 2) * ct2
             assert claimed <= ct5 + 1e-10

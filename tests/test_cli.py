@@ -84,6 +84,28 @@ class TestMeasure:
         assert abs(r1["ctq_normalized"] - r2["ctq_normalized"]) < 1e-12
         assert abs(r1["concurrence"] - r2["concurrence"]) < 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("alpha", ["7", "nan"])
+    def test_density_alpha_out_of_range(self, tmp_path, dims, alpha, capsys):
+        # checked for every input, not only where a pure state uses it
+        f = write_state(tmp_path, states.random_density(dims, 4, seed=77), "mixed.json")
+        out = tmp_path / "report.json"
+        assert run(["measure", f, "--q", "3", "--alpha", alpha, "--out", str(out)]) == 2
+        assert "error: alpha must lie in [0, 1/2]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pure_state_takes_one_svd(self, tmp_path, rng, monkeypatch):
+        f = write_state(tmp_path, haar_pure((3, 3), rng), "pure.json")
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert run(["measure", f, "--q", "3", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
+
     def test_unequal_local_dims_degrades_to_report(self, tmp_path):
         f = write_state(tmp_path, states.random_density((2, 3), 3, 1), "mixed23.json")
         out = tmp_path / "report.json"
@@ -135,6 +157,18 @@ class TestBound:
     def test_invalid_regime_exits_nonzero(self, tmp_path):
         f = write_state(tmp_path, states.isotropic(0.9, 2), "iso2.json")
         assert run(["bound", f, "--q", "3"]) == 2
+
+    def test_refuses_multipartite_before_building_the_density(self, tmp_path, monkeypatch, capsys):
+        a = np.zeros(8, dtype=complex)
+        a[0] = a[7] = 1 / np.sqrt(2)
+        f = write_state(tmp_path, states.MultipartiteState((2, 2, 2), a), "ghz.json")
+        monkeypatch.setattr(states.MultipartiteState, "density",
+                            lambda self: pytest.fail("density built"))
+        assert run(["bound", f, "--q", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bound handles bipartite states; "
+            "use the monogamy command for multipartite input\n"
+        )
 
 
 class TestCurves:
@@ -232,7 +266,7 @@ class TestCurves:
                 with pytest.raises(ExponentOutsideTheoremRange):
                     bounds.lower_bound_thm2(rho, q)
             else:
-                want = bounds.lower_bound_thm2(rho, q).lower_bound
+                want = bounds.lower_bound_thm2(rho, q).lower_bound_normalized
                 assert float(row[3]) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("q", [3, 3.5, 5])
@@ -248,7 +282,7 @@ class TestCurves:
                 with pytest.raises(ExponentOutsideTheoremRange):
                     bounds.lower_bound_thm2(rho, q)
             else:
-                want = bounds.lower_bound_thm2(rho, q).lower_bound
+                want = bounds.lower_bound_thm2(rho, q).lower_bound_normalized
                 assert float(row[3]) == pytest.approx(want, abs=1e-12)
 
     def test_separable_cells_print_zero(self, tmp_path):
@@ -271,6 +305,28 @@ class TestCurves:
         ) == 0
         payload = read_json(out)
         assert isinstance(payload, list) and payload[0].keys() == {"F", "raw", "envelope", "lower_bound"}
+
+    @pytest.mark.parametrize(
+        "command",
+        [["isotropic", "--d", "3", "--q", "3"], ["werner", "--q", "2"],
+         ["chain", "--q", "3", "--gamma", "1.5"]],
+        ids=["isotropic", "werner", "chain"],
+    )
+    def test_json_rows_are_the_csv_rows(self, tmp_path, command):
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run(command + ["--step", "0.05", "--out", str(csv_out)]) == 0
+        assert run(command + ["--step", "0.05", "--format", "json", "--out", str(json_out)]) == 0
+        header, rows = read_csv(csv_out)
+        assert read_json(json_out) == [dict(zip(header, row)) for row in rows]
+
+    def test_csv_bytes(self, tmp_path):
+        # \r\n line ends and no quoting; below s ~ 3.34 the d = 2 bound cells are empty
+        out = tmp_path / "c.csv"
+        assert run(["isotropic", "--d", "2", "--q", "3", "--from", "0.5", "--to", "0.7",
+                    "--step", "0.1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"F,raw,envelope,lower_bound\r\n0.5,0,0,\r\n0.6,0.04,0.04,\r\n0.7,0.16,0.16,\r\n"
+        )
 
 
 class TestChainAndMonogamy:

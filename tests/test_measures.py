@@ -38,49 +38,47 @@ class TestTotalConcurrence:
     def test_maximally_entangled_attains_mu(self):
         for d, q in ((2, 2), (3, 3), (4, 2.7)):
             lam = np.full(d, 1.0 / d)
-            assert measures.total_concurrence_pure(lam, q, d) == pytest.approx(mu(d, q), abs=1e-12)
+            assert measures.total_concurrence_pure(lam, q) == pytest.approx(mu(d, q), abs=1e-12)
 
     def test_half_half_q3(self):
         # 2 - 2 (1/2)^3 - 2 (1/2)^3 = 3/2 = mu(2, 3)
-        assert measures.total_concurrence_pure([0.5, 0.5], 3, 2) == pytest.approx(1.5)
+        assert measures.total_concurrence_pure([0.5, 0.5], 3) == pytest.approx(1.5)
         assert mu(2, 3) == pytest.approx(1.5)
 
     def test_padding(self):
-        assert measures.total_concurrence_pure([1.0], 2, 3) == 0.0
-        with pytest.raises(CtqError, match="spectrum has 3 nonzero entries > d = 2"):
-            measures.total_concurrence_pure([0.5, 0.3, 0.2], 2, 2)
+        assert measures.total_concurrence_pure([1.0], 2) == 0.0
 
     def test_range(self, rng):
         for _ in range(200):
             d = int(rng.integers(2, 6))
             lam = rng.dirichlet(np.ones(d))
             q = 2 + 4 * rng.random()
-            v = measures.total_concurrence_pure(lam, q, d)
+            v = measures.total_concurrence_pure(lam, q)
             assert -1e-12 <= v <= mu(d, q) + 1e-10
 
 
 class TestCtqPure:
     def test_bell_is_one(self):
         for q in (2, 3, 4, 7.5):
-            assert measures.ctq_pure(BELL, q) == pytest.approx(1.0, abs=1e-12)
+            assert measures.ctq_pure(states.schmidt_spectrum(BELL), q) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_is_zero(self):
         psi = states.pure_from_amplitudes([1, 0, 0, 0, 0, 0], (2, 3))
-        assert measures.ctq_pure(psi, 3) == 0.0
+        assert measures.ctq_pure(states.schmidt_spectrum(psi), 3) == 0.0
 
     def test_skew_example_q2(self):
         # 2 (1 - 0.81 - 0.01) = 0.36, cross-checked by the concurrence map
         psi = states.pure_from_amplitudes([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], (2, 2))
-        got = measures.ctq_pure(psi, 2)
+        got = measures.ctq_pure(states.schmidt_spectrum(psi), 2)
         assert got == pytest.approx(0.36, abs=1e-12)
-        c = measures.concurrence_pure(psi)
+        c = measures.concurrence_pure(states.schmidt_spectrum(psi))
         assert c == pytest.approx(0.6, abs=1e-12)
         assert got == pytest.approx(measures.h_q(c, 2), abs=1e-12)
 
     def test_effective_dim_is_min(self):
         # Schmidt spectrum (1/2, 1/2) on 2 x 3: maximal for min(dA, dB) = 2
         psi = states.pure_from_amplitudes(np.array([1, 0, 0, 0, 1, 0]) / np.sqrt(2), (2, 3))
-        assert measures.ctq_pure(psi, 3) == pytest.approx(1.0, abs=1e-12)
+        assert measures.ctq_pure(states.schmidt_spectrum(psi), 3) == pytest.approx(1.0, abs=1e-12)
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(40):
@@ -88,14 +86,14 @@ class TestCtqPure:
             UA, UB = random_unitary(3, rng), random_unitary(3, rng)
             rotated = states.PureState((3, 3), np.kron(UA, UB) @ psi.amps)
             q = 2 + 3 * rng.random()
-            assert measures.ctq_pure(rotated, q) == pytest.approx(
-                measures.ctq_pure(psi, q), abs=1e-10
+            assert measures.ctq_pure(states.schmidt_spectrum(rotated), q) == pytest.approx(
+                measures.ctq_pure(states.schmidt_spectrum(psi), q), abs=1e-10
             )
 
     def test_range_and_extremes(self, rng):
         for _ in range(100):
             psi = haar_pure((3, 4), rng)
-            v = measures.ctq_pure(psi, 2.5)
+            v = measures.ctq_pure(states.schmidt_spectrum(psi), 2.5)
             assert 0.0 <= v <= 1.0 + 1e-10
 
 
@@ -103,24 +101,26 @@ class TestCtAlpha:
     def test_product_zero_all_alpha(self):
         psi = states.pure_from_amplitudes([0, 1, 0, 0], (2, 2))
         for alpha in (0.0, 0.1, 0.3, 0.5):
-            assert measures.ct_alpha_pure(psi, alpha) == 0.0
+            assert measures.ct_alpha_pure(states.schmidt_spectrum(psi), alpha) == 0.0
 
     def test_bell_half(self):
         # 2 sqrt(1/2) - 1 + 2 sqrt(1/2) - 1 = 2 sqrt(2) - 2
-        assert measures.ct_alpha_pure(BELL, 0.5) == pytest.approx(2 * np.sqrt(2) - 2, abs=1e-12)
+        assert measures.ct_alpha_pure(states.schmidt_spectrum(BELL), 0.5) == pytest.approx(
+            2 * np.sqrt(2) - 2, abs=1e-12
+        )
 
     def test_bell_alpha_zero_counts_ranks(self):
         # with 0^0 := 0 each nonzero entry contributes 1: 2 - 1 + 2 - 1 = 2
-        assert measures.ct_alpha_pure(BELL, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert measures.ct_alpha_pure(states.schmidt_spectrum(BELL), 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(100):
             psi = haar_pure((3, 3), rng)
-            assert measures.ct_alpha_pure(psi, 0.5 * rng.random()) >= 0.0
+            assert measures.ct_alpha_pure(states.schmidt_spectrum(psi), 0.5 * rng.random()) >= 0.0
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(CtqError, match="alpha must lie in .*, got 0.7"):
-            measures.ct_alpha_pure(BELL, 0.7)
+            measures.ct_alpha_pure(states.schmidt_spectrum(BELL), 0.7)
 
 
 class TestClassical:
@@ -170,15 +170,15 @@ class TestHq:
 
 class TestConcurrencePure:
     def test_bell(self):
-        assert measures.concurrence_pure(BELL) == pytest.approx(1.0, abs=1e-12)
+        assert measures.concurrence_pure(states.schmidt_spectrum(BELL)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product(self):
         psi = states.pure_from_amplitudes([1, 0, 0, 0], (2, 2))
-        assert measures.concurrence_pure(psi) == 0.0
+        assert measures.concurrence_pure(states.schmidt_spectrum(psi)) == 0.0
 
     def test_skew(self):
         psi = states.pure_from_amplitudes([np.sqrt(0.9), 0, 0, np.sqrt(0.1)], (2, 2))
-        assert measures.concurrence_pure(psi) == pytest.approx(0.6, abs=1e-12)
+        assert measures.concurrence_pure(states.schmidt_spectrum(psi)) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestWootters:
@@ -209,7 +209,7 @@ class TestCtqTwoQubitMixed:
             rho = states.DensityMatrix((2, 2), psi.density())
             q = 2 + 2 * rng.random()
             assert measures.ctq_two_qubit_mixed(rho, q) == pytest.approx(
-                measures.ctq_pure(psi, q), abs=1e-10
+                measures.ctq_pure(states.schmidt_spectrum(psi), q), abs=1e-10
             )
 
     def test_werner_point_nine_q2(self):
@@ -240,8 +240,8 @@ class TestQubitQuditMap:
             d = int(rng.integers(2, 7))
             psi = haar_pure((2, d), rng)
             q = 2 + 6 * rng.random()
-            got = measures.ctq_pure(psi, q)
-            want = measures.h_q(measures.concurrence_pure(psi), q)
+            got = measures.ctq_pure(states.schmidt_spectrum(psi), q)
+            want = measures.h_q(measures.concurrence_pure(states.schmidt_spectrum(psi)), q)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -252,7 +252,7 @@ class TestFunctionalProperties:
             d = int(rng.integers(2, 6))
             lam = rng.dirichlet(np.ones(d))
             q = 2 + 4 * rng.random()
-            gap = measures.total_concurrence_pure(lam, q, d) - measures.q_concurrence_pure(lam, q)
+            gap = measures.total_concurrence_pure(lam, q) - measures.q_concurrence_pure(lam, q)
             assert gap >= -1e-12
 
     def test_mixture_concavity(self, rng):

@@ -168,7 +168,8 @@ class TestChain:
             theta = rng.uniform(0, 2 * np.pi)
             q = 2 + 4 * rng.random()
             closed = monogamy.chain_ctq(theta, q)[0]
-            direct = measures.ctq_pure(states.chain_state(theta).split_first(), q)
+            lam = states.schmidt_spectrum(states.chain_state(theta).split_first())
+            direct = measures.ctq_pure(lam, q)
             assert closed == pytest.approx(direct, abs=1e-10)
 
     def test_concurrence_triple(self):

@@ -39,7 +39,7 @@ def unit_vector(draw, d):
 @PROPERTY
 @given(pure_states(), EXPONENTS)
 def test_ctq_pure_in_unit_interval(psi, q):
-    assert 0.0 <= measures.ctq_pure(psi, q) <= 1.0 + 1e-12
+    assert 0.0 <= measures.ctq_pure(states.schmidt_spectrum(psi), q) <= 1.0 + 1e-12
 
 
 @PROPERTY
@@ -48,7 +48,9 @@ def test_ctq_pure_invariant_under_local_unitaries(psi, q, seed):
     rng = np.random.default_rng(seed)
     U, V = (random_unitary(d, rng) for d in psi.dims)
     moved = states.PureState(psi.dims, np.kron(U, V) @ psi.amps)
-    assert measures.ctq_pure(moved, q) == pytest.approx(measures.ctq_pure(psi, q), abs=1e-10)
+    assert measures.ctq_pure(states.schmidt_spectrum(moved), q) == pytest.approx(
+        measures.ctq_pure(states.schmidt_spectrum(psi), q), abs=1e-10
+    )
 
 
 @PROPERTY
@@ -56,7 +58,7 @@ def test_ctq_pure_invariant_under_local_unitaries(psi, q, seed):
 def test_product_states_give_zero(data, dA, dB, q):
     a, b = unit_vector(data.draw, dA), unit_vector(data.draw, dB)
     psi = states.PureState((dA, dB), np.kron(a, b).astype(complex))
-    assert measures.ctq_pure(psi, q) <= 1e-12
+    assert measures.ctq_pure(states.schmidt_spectrum(psi), q) <= 1e-12
 
 
 @PROPERTY
@@ -66,7 +68,8 @@ def test_thm2_bound_below_pure_value(psi, t):
     lo = bounds.s_threshold() if d == 2 else 2.0  # the regime the bound claims
     q = lo + (10.0 - lo) * t
     rho = states.DensityMatrix(psi.dims, psi.density())
-    assert bounds.lower_bound_thm2(rho, q).lower_bound <= measures.ctq_pure(psi, q) + 1e-9
+    bound = bounds.lower_bound_thm2(rho, q).lower_bound_normalized
+    assert bound <= measures.ctq_pure(states.schmidt_spectrum(psi), q) + 1e-9
 
 
 # -- every public q / alpha / gamma / F / w / x / theta parameter and every
@@ -96,16 +99,16 @@ REFUSING = {
     # functions that now make the same checks: the measures' own exponent
     # checks, h_q for the concurrence argument, and the 2 <= q <= 4 range of
     # ctq_two_qubit_mixed
-    "MeasureParams-q": lambda x: measures.ctq_pure(_MAX3, x),
-    "MeasureParams-alpha": lambda x: measures.ct_alpha_pure(_MAX3, x),
+    "MeasureParams-q": lambda x: measures.ctq_pure(states.schmidt_spectrum(_MAX3), x),
+    "MeasureParams-alpha": lambda x: measures.ct_alpha_pure(states.schmidt_spectrum(_MAX3), x),
     "ctq_from_concurrence-x": lambda x: measures.h_q(x, 2.5),
     "ctq_from_concurrence-q": lambda x: measures.ctq_two_qubit_mixed(_BELL_RHO, x),
     "normalization_mu-q": lambda x: measures.normalization_mu(3, x),
     "q_concurrence_pure-q": lambda x: measures.q_concurrence_pure([0.5, 0.5], x),
     "q_concurrence_pure-lam": lambda x: measures.q_concurrence_pure([x, 1.0], 2),
     "total_concurrence_pure-q": lambda x: measures.total_concurrence_pure([0.5, 0.5], x),
-    "ctq_pure-q": lambda x: measures.ctq_pure(_BELL, x),
-    "ct_alpha_pure-alpha": lambda x: measures.ct_alpha_pure(_BELL, x),
+    "ctq_pure-q": lambda x: measures.ctq_pure(states.schmidt_spectrum(_BELL), x),
+    "ct_alpha_pure-alpha": lambda x: measures.ct_alpha_pure(states.schmidt_spectrum(_BELL), x),
     "h_q-x": lambda x: measures.h_q(x, 3),
     "h_q-q": lambda x: measures.h_q(0.5, x),
     "ctq_two_qubit_mixed-q": lambda x: measures.ctq_two_qubit_mixed(states.werner(0.9, 2), x),
